@@ -130,9 +130,9 @@ type KVStats struct {
 
 // KV is an open-addressing (linear probing, tombstone deletion)
 // hash table over the simulated heap, the serving family's key/value
-// store. All runtime accesses go through the Mem seam.
+// store. All runtime accesses go through the machine.Mem seam.
 type KV struct {
-	m     Mem
+	m     machine.Mem
 	arena *memsys.Arena
 	cfg   KVConfig
 	geo   layout.Geometry
@@ -223,10 +223,11 @@ func NewKV(m *machine.Machine, cfg KVConfig) (*KV, error) {
 	return kv, nil
 }
 
-// UseMem redirects the store's runtime accesses through w — a
-// TraceRecorder capturing the stream for oracle replay, or a test
-// double. Construction and allocator metadata are unaffected.
-func (kv *KV) UseMem(w Mem) { kv.m = w }
+// UseMem redirects the store's runtime accesses through w, any
+// machine.Mem over the same arena — typically an uncharged ArenaMem
+// view, so a twin replays the same operations without moving the
+// clock. Construction and allocator metadata are unaffected.
+func (kv *KV) UseMem(w machine.Mem) { kv.m = w }
 
 // hash mixes the key; the table index is the low mask bits.
 func kvHash(key uint32) int64 {
@@ -311,7 +312,7 @@ func (kv *KV) freeGroups(groups, cold []memsys.Addr) {
 // machine during a charged resize). On failure every group already
 // placed is released and the error — always typed — is returned with
 // the live table untouched.
-func (kv *KV) buildTable(slots int64, w Mem) (*kvTable, error) {
+func (kv *KV) buildTable(slots int64, w machine.Mem) (*kvTable, error) {
 	n := slots / kv.groupSlots
 	t := &kvTable{slots: slots, mask: slots - 1}
 	t.groups = make([]memsys.Addr, 0, n)
@@ -349,7 +350,7 @@ func (kv *KV) buildTable(slots int64, w Mem) (*kvTable, error) {
 // find probes t for a live slot holding key, charging one header load
 // and one compare cycle per step. The table always keeps at least one
 // empty slot, so the probe terminates.
-func (kv *KV) find(t *kvTable, w Mem, key uint32) (int64, bool) {
+func (kv *KV) find(t *kvTable, w machine.Mem, key uint32) (int64, bool) {
 	i := kvHash(key) & t.mask
 	for {
 		w.Tick(1)
@@ -371,7 +372,7 @@ func (kv *KV) find(t *kvTable, w Mem, key uint32) (int64, bool) {
 // verify a payload against its key without host-side shadow state.
 func kvSalt(key uint32) int64 { return int64(uint64(key) * 0x9e3779b97f4a7c15) }
 
-func (kv *KV) writeValue(t *kvTable, w Mem, i int64, key uint32, val int64) {
+func (kv *KV) writeValue(t *kvTable, w machine.Mem, i int64, key uint32, val int64) {
 	base := kv.valueAddr(t, i)
 	salt := kvSalt(key)
 	for j := int64(0); j < kvValueWords; j++ {
@@ -381,7 +382,7 @@ func (kv *KV) writeValue(t *kvTable, w Mem, i int64, key uint32, val int64) {
 
 // readValue reads the full payload (a response copy) and returns the
 // value word.
-func (kv *KV) readValue(t *kvTable, w Mem, i int64) int64 {
+func (kv *KV) readValue(t *kvTable, w machine.Mem, i int64) int64 {
 	base := kv.valueAddr(t, i)
 	v := w.LoadInt(base)
 	for j := int64(1); j < kvValueWords; j++ {
@@ -393,7 +394,7 @@ func (kv *KV) readValue(t *kvTable, w Mem, i int64) int64 {
 // putInto inserts or overwrites key in t through w. An insert that
 // would consume the table's last empty slot fails with
 // cclerr.ErrOutOfMemory: the empty slot is what terminates probes.
-func (kv *KV) putInto(t *kvTable, w Mem, key uint32, val int64) error {
+func (kv *KV) putInto(t *kvTable, w machine.Mem, key uint32, val int64) error {
 	i := kvHash(key) & t.mask
 	ins := int64(-1)
 	for {

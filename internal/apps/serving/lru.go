@@ -98,9 +98,9 @@ type LRUStats struct {
 // LRU is an intrusive least-recently-used cache over the simulated
 // heap: a doubly-linked recency list threaded through heap-allocated
 // entries, plus an open-addressing index from key to entry address.
-// All runtime accesses go through the Mem seam.
+// All runtime accesses go through the machine.Mem seam.
 type LRU struct {
-	m     Mem
+	m     machine.Mem
 	arena *memsys.Arena
 	cfg   LRUConfig
 
@@ -173,10 +173,11 @@ func NewLRU(m *machine.Machine, cfg LRUConfig) (*LRU, error) {
 	return c, nil
 }
 
-// UseMem redirects the cache's runtime accesses through w — a
-// TraceRecorder capturing the stream for oracle replay, or a test
-// double. Construction and allocator metadata are unaffected.
-func (c *LRU) UseMem(w Mem) { c.m = w }
+// UseMem redirects the cache's runtime accesses through w, any
+// machine.Mem over the same arena — typically an uncharged ArenaMem
+// view, so a twin replays the same operations without moving the
+// clock. Construction and allocator metadata are unaffected.
+func (c *LRU) UseMem(w machine.Mem) { c.m = w }
 
 func lruIdxWord(key uint32, addr memsys.Addr) int64 {
 	return int64(key) | int64(addr)<<32

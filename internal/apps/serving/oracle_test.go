@@ -6,14 +6,15 @@ import (
 	"ccl/internal/cache"
 	"ccl/internal/machine"
 	"ccl/internal/oracle"
+	"ccl/internal/trace"
 )
 
 // The differential satellite: record the serving structures' demand
-// stream through the Mem seam and replay it through the event-level
-// oracle. Agreement on every access event and every cumulative
-// counter proves the production hierarchy simulated this workload
-// family correctly — on more than one geometry, since replacement and
-// write policy bugs hide in configurations.
+// stream at the cache-observer seam (trace.Recorder) and replay it
+// through the event-level oracle. Agreement on every access event and
+// every cumulative counter proves the production hierarchy simulated
+// this workload family correctly — on more than one geometry, since
+// replacement and write policy bugs hide in configurations.
 
 // assocGeometry is a second, set-associative geometry: 2-way L1 over
 // a 4-way write-back L2, nothing like the direct-mapped scaled
@@ -28,11 +29,11 @@ func assocGeometry() cache.Config {
 	}
 }
 
-// recordServingMix builds all three structures on m, redirects them
-// through one shared TraceRecorder, and drives a small mixed serving
-// phase.
-func recordServingMix(t *testing.T, m *machine.Machine) *TraceRecorder {
+// recordServingMix builds all three structures on m and drives a
+// small mixed serving phase, recording every charged access.
+func recordServingMix(t *testing.T, m *machine.Machine) *trace.Recorder {
 	t.Helper()
+	rec := trace.Attach(m.Cache)
 	kv, err := NewKV(m, KVConfig{Layout: KVSplit, Placement: KVCCMalloc, Slots: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +46,6 @@ func recordServingMix(t *testing.T, m *machine.Machine) *TraceRecorder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewTraceRecorder(m)
-	kv.UseMem(rec)
-	lru.UseMem(rec)
-	pq.UseMem(rec)
-
 	if err := WarmKV(kv, 120); err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +82,11 @@ func TestServingOracleDifferential(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			rec := recordServingMix(t, tc.m)
-			if rec.Len() == 0 {
+			tr := recordServingMix(t, tc.m).Trace()
+			if len(tr.Records) == 0 {
 				t.Fatal("serving mix recorded no accesses")
 			}
-			if d := oracle.Diff(rec.Trace()); d != nil {
+			if d := oracle.Diff(tr); d != nil {
 				t.Fatalf("serving stream diverged from the oracle: %v", d)
 			}
 		})

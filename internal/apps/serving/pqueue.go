@@ -42,9 +42,9 @@ type PQStats struct {
 
 // PQueue is an implicit d-ary min-heap over a cache-line-aligned
 // array in simulated memory, the serving family's timer/priority
-// queue. All runtime accesses go through the Mem seam.
+// queue. All runtime accesses go through the machine.Mem seam.
 type PQueue struct {
-	m     Mem
+	m     machine.Mem
 	arena *memsys.Arena
 	base  memsys.Addr
 	arity int64
@@ -84,10 +84,11 @@ func NewPQueue(m *machine.Machine, cfg PQConfig) (*PQueue, error) {
 	return &PQueue{m: m, arena: m.Arena, base: base, arity: cfg.Arity, cap: cfg.Cap}, nil
 }
 
-// UseMem redirects the queue's runtime accesses through w — a
-// TraceRecorder capturing the stream for oracle replay, or a test
-// double.
-func (q *PQueue) UseMem(w Mem) { q.m = w }
+// UseMem redirects the queue's runtime accesses through w, any
+// machine.Mem over the same arena — typically an uncharged ArenaMem
+// view, so a twin replays the same operations without moving the
+// clock.
+func (q *PQueue) UseMem(w machine.Mem) { q.m = w }
 
 func (q *PQueue) elem(i int64) memsys.Addr { return q.base.Add(i * pqElemSize) }
 

@@ -170,9 +170,6 @@ func fig5Spec() Spec {
 	}
 }
 
-// Fig5 regenerates the tree microbenchmark serially; see fig5Spec.
-func Fig5(ctx context.Context, full bool) Table { return runSpec(ctx, "fig5", full) }
-
 // fig6Spec regenerates the macrobenchmark comparison (paper Figure
 // 6) as one job per application mode; normalization to each
 // application's base happens at assembly.
@@ -251,10 +248,6 @@ func fig6Spec() Spec {
 		},
 	}
 }
-
-// Fig6 regenerates the macrobenchmark comparison serially; see
-// fig6Spec.
-func Fig6(ctx context.Context, full bool) Table { return runSpec(ctx, "fig6", full) }
 
 // oldenRun dispatches one benchmark/variant pair in the given run
 // context.
@@ -403,9 +396,6 @@ func fig7Spec() Spec {
 	}
 }
 
-// Fig7 regenerates the Olden comparison serially; see fig7Spec.
-func Fig7(ctx context.Context, full bool) Table { return runSpec(ctx, "fig7", full) }
-
 // Table3 reproduces the qualitative technique summary (paper Table 3).
 func Table3() Table {
 	return Table{
@@ -544,10 +534,6 @@ func memovhSpec() Spec {
 	}
 }
 
-// MemOvh regenerates the §4.4 memory-overhead accounting serially;
-// see memovhSpec.
-func MemOvh(ctx context.Context, full bool) Table { return runSpec(ctx, "memovh", full) }
-
 // fig10Params holds the workload sizing shared by Fig10's jobs.
 type fig10Params struct {
 	sizes    []int64
@@ -657,14 +643,4 @@ func fig10Point(sctx *sim.Sim, n int64, searches int, scale int64, params model.
 	}
 	meas = measure(false) / measure(true)
 	return pred, meas
-}
-
-// All returns every experiment at the given scale, in paper order,
-// run serially.
-func All(ctx context.Context, full bool) []Table {
-	var tabs []Table
-	for _, sp := range Registry() {
-		tabs = append(tabs, runSpec(ctx, sp.ID, full))
-	}
-	return tabs
 }

@@ -88,9 +88,10 @@ func IDs() []string {
 
 // runSpec executes one experiment's jobs serially, each in a fresh
 // run context, and assembles the table — the path the exported
-// single-experiment functions (Fig5, Control, ...) use. Job errors
+// single-experiment functions (Control, Fig10, ...) use. Job errors
 // panic, preserving those functions' fail-fast contract (DESIGN.md
-// §7); RunExperiment recovers them into Failure records.
+// §7); only the worker pool (Run) recovers failures into Failure
+// records.
 func runSpec(ctx context.Context, id string, full bool) Table {
 	sp, ok := Lookup(id)
 	if !ok {

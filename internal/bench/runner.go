@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -15,9 +14,8 @@ import (
 // sweeps record what broke instead of dying with it.
 type Failure struct {
 	Experiment string `json:"experiment"`
-	// Job names the sub-job that failed when the experiment ran on
-	// the worker pool ("fig7/health/Cl+Col"); empty for whole-
-	// experiment failures from the serial path.
+	// Job names the sub-job that failed ("fig7/health/Cl+Col"), or
+	// "<experiment>/assemble" when assembling its table panicked.
 	Job   string `json:"job,omitempty"`
 	Error string `json:"error"`
 	Class string `json:"class,omitempty"`
@@ -55,25 +53,11 @@ func interrupted(t Table) Table {
 	return t
 }
 
-// RunExperiment runs one experiment, converting any panic that
-// escapes it — allocation failures from fail-fast workload kernels,
-// injected faults, checksum mismatches — into a Failure record
-// instead of killing the whole sweep. On failure the returned table
-// is empty and should not be reported.
-func RunExperiment(ctx context.Context, id string, run func(context.Context, bool) Table, full bool) (tab Table, fail *Failure) {
-	defer func() {
-		if r := recover(); r != nil {
-			tab, fail = Table{}, newFailure(id, "", r)
-		}
-	}()
-	return run(ctx, full), nil
-}
-
 // must adapts the library's checked constructors to the experiment
 // code's fail-fast policy (DESIGN.md §7): experiments size their
 // workloads within the arena by construction, so a failure here is a
-// harness bug or an injected fault, and RunExperiment's recover turns
-// the panic into a structured Failure record.
+// harness bug or an injected fault, and the worker pool's recover
+// (runJob) turns the panic into a structured Failure record.
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)

@@ -11,6 +11,32 @@ import (
 	"ccl/internal/memsys"
 )
 
+// Mem is the runtime memory-access seam: the typed loads and stores,
+// plus compute charges, that structure code issues against simulated
+// memory. Machine charges a uniprocessor hierarchy, Core charges one
+// core of a Topology, and an uncharged arena view (serving.ArenaMem)
+// touches memory without moving the clock, so the same operation code
+// runs measured, on any core, or under an invariant check.
+//
+// Recording is not a Mem wrapper: trace.Recorder observes the cache
+// hierarchy itself (cache.Observer), so it captures every workload
+// that runs on a Machine, whether or not that workload goes through
+// this interface.
+type Mem interface {
+	Load32(a memsys.Addr) uint32
+	Store32(a memsys.Addr, v uint32)
+	LoadAddr(a memsys.Addr) memsys.Addr
+	StoreAddr(a memsys.Addr, v memsys.Addr)
+	LoadInt(a memsys.Addr) int64
+	StoreInt(a memsys.Addr, v int64)
+	Tick(n int64)
+}
+
+var (
+	_ Mem = (*Machine)(nil)
+	_ Mem = (*Core)(nil)
+)
+
 // Machine is a simulated uniprocessor memory system.
 type Machine struct {
 	Arena *memsys.Arena

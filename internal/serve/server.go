@@ -441,9 +441,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // hard-cancel reaches every in-flight run.
 func (s *Server) BaseContext() context.Context { return s.baseCtx }
 
-// Draining reports whether the server has stopped admitting.
-func (s *Server) Draining() bool { return s.drain.Load() }
-
 // BeginDrain stops admission without waiting; Drain calls it, but a
 // signal handler may want the 503s to start before it has a drain
 // context ready. Taking drainMu orders the flip after any in-flight
