@@ -43,7 +43,6 @@ import (
 	"ccl/internal/memsys"
 	"ccl/internal/model"
 	"ccl/internal/profile"
-	"ccl/internal/sim"
 	"ccl/internal/split"
 	"ccl/internal/telemetry"
 	"ccl/internal/trees"
@@ -90,15 +89,6 @@ func PaperCache() CacheConfig { return cache.PaperHierarchy() }
 
 // RSIMCache returns the Table 1 simulation hierarchy.
 func RSIMCache() CacheConfig { return cache.RSIMHierarchy() }
-
-// Sim is a per-run simulation context: machines built through one
-// share its grow guard and telemetry registry, and two Sims share no
-// mutable state at all — the unit of isolation for running
-// simulations concurrently (one goroutine per Sim; see DESIGN.md §8).
-type Sim = sim.Sim
-
-// NewSim returns a fresh run context.
-func NewSim() *Sim { return sim.New() }
 
 // Allocators.
 type (
@@ -243,10 +233,6 @@ func NewBTree(m *Machine, colorFrac float64) (*BTree, error) {
 	return trees.NewBTree(m, colorFrac)
 }
 
-// BSTLayout returns the CCMorph template for BST nodes, for use with
-// Reorganize.
-func BSTLayout() StructureLayout { return trees.Layout() }
-
 // Hot/cold structure splitting (§3.2's second technique): partition a
 // structure's fields by profiled temperature, pack the hot fields into
 // index-linked SoA arrays placed in the cache's hot partition, and
@@ -326,18 +312,12 @@ type (
 	Collector = telemetry.Collector
 	// TelemetryReport is a Collector's JSON-serializable summary.
 	TelemetryReport = telemetry.Report
-	// Registry is a flat namespace of named counters with
-	// snapshot-diffing, fed by the Each methods of the stats types.
-	Registry = telemetry.Registry
 )
 
 // AttachTelemetry installs a fresh Collector as the machine's cache
 // observer and returns it. Detach with m.Cache.SetObserver(nil); with
 // no observer installed the simulator's outputs are unchanged.
 func AttachTelemetry(m *Machine) *Collector { return telemetry.Attach(m.Cache) }
-
-// NewRegistry returns an empty counter registry.
-func NewRegistry() *Registry { return telemetry.NewRegistry() }
 
 // Profiling (field-level miss attribution, phase time series, pprof
 // export; see DESIGN.md §10).
@@ -355,11 +335,6 @@ type (
 	// RegionMap labels address ranges for attribution; structures
 	// register their elements and field maps here.
 	RegionMap = telemetry.RegionMap
-	// FieldMap describes one structure's member layout — the key
-	// that turns per-region miss counts into per-field ones.
-	FieldMap = layout.FieldMap
-	// Field is one named member of a FieldMap.
-	Field = layout.Field
 )
 
 // AttachProfiler installs a fresh Profiler as the machine's cache
@@ -369,40 +344,25 @@ func AttachProfiler(m *Machine, cfg ProfileConfig) *Profiler {
 	return profile.Attach(m.Cache, cfg)
 }
 
-// NewFieldMap validates a structure's member layout for field-level
-// attribution; it fails with ErrInvalidArg on overlapping or
-// out-of-bounds fields.
-func NewFieldMap(structName string, size int64, fields ...Field) (FieldMap, error) {
-	return layout.NewFieldMap(structName, size, fields...)
-}
-
 // WriteProfile writes a profile in the ccl-profile/v1 JSON schema —
 // the same format `ccbench -profile` exports. The pprof form is
 // rep.WritePprof.
 func WriteProfile(w io.Writer, rep Profile) error { return profile.WriteJSON(w, rep) }
 
-// Serving workloads (the Zipfian KV store, intrusive LRU cache, and
-// cache-line-aligned d-ary priority queue of internal/apps/serving;
-// see DESIGN.md §14). These are the library's serving-shaped
-// structures: each races layout/placement variants over the simulated
-// heap under a seeded Zipfian op stream, with per-structure telemetry
-// attribution. The `ccbench serving` experiment tabulates the races.
+// Serving workloads (the Zipfian KV store and cache-line-aligned
+// d-ary priority queue of internal/apps/serving; see DESIGN.md §14).
+// These are the library's serving-shaped structures: each races
+// layout/placement variants over the simulated heap under a seeded
+// Zipfian op stream, with per-structure telemetry attribution. The
+// `ccbench serving` experiment tabulates the races, the intrusive LRU
+// cache included.
 type (
-	// Zipf is a deterministic seeded Zipfian key generator (inverse
-	// CDF, so exponents below 1 — the serving-canonical s=0.99 —
-	// work, unlike math/rand's rejection sampler).
-	Zipf = serving.Zipf
 	// KV is an open-addressing hash-table KV store with tunable slot
 	// layout (AoS vs hot/cold key-metadata split) and placement
 	// (malloc, ccmalloc, colored).
 	KV = serving.KV
 	// KVConfig selects the store's layout, placement, and sizing.
 	KVConfig = serving.KVConfig
-	// LRU is an intrusive least-recently-used cache with co-located
-	// or split list links.
-	LRU = serving.LRU
-	// LRUConfig selects the cache's layout, placement, and sizing.
-	LRUConfig = serving.LRUConfig
 	// PQueue is an implicit d-ary min-heap whose sibling groups are
 	// aligned to cache lines (a 4-ary group is exactly one 64-byte
 	// line).
@@ -420,26 +380,10 @@ const (
 	KVColored  = serving.KVColored
 )
 
-// LRU placement variants.
-const (
-	LRUMalloc   = serving.LRUMalloc
-	LRUCCMalloc = serving.LRUCCMalloc
-)
-
-// NewZipf returns a generator over keys [1, n] with exponent s
-// (s=0 uniform; higher skews harder). It fails with ErrInvalidArg
-// outside the supported parameter ranges.
-func NewZipf(seed int64, s float64, n int64) (*Zipf, error) {
-	return serving.NewZipf(seed, s, n)
-}
-
 // NewKV builds a KV store over the machine's heap. Configuration
 // errors are typed ErrInvalidArg; a colored store whose place guard
 // vetoes fails with ErrPlacementFailed.
 func NewKV(m *Machine, cfg KVConfig) (*KV, error) { return serving.NewKV(m, cfg) }
-
-// NewLRU builds an LRU cache over the machine's heap.
-func NewLRU(m *Machine, cfg LRUConfig) (*LRU, error) { return serving.NewLRU(m, cfg) }
 
 // NewPQueue builds a priority queue over the machine's heap.
 func NewPQueue(m *Machine, cfg PQConfig) (*PQueue, error) { return serving.NewPQueue(m, cfg) }
@@ -450,8 +394,6 @@ func NewPQueue(m *Machine, cfg PQConfig) (*PQueue, error) { return serving.NewPQ
 type (
 	// KVWorkload is a Zipfian get/put stream over a KV store.
 	KVWorkload = serving.KVWorkload
-	// LRUWorkload is a Zipfian cache-aside stream over an LRU cache.
-	LRUWorkload = serving.LRUWorkload
 	// PQWorkload is the hold model over a priority queue.
 	PQWorkload = serving.PQWorkload
 	// WorkloadStats summarizes one driven op stream; Checksum folds
@@ -467,9 +409,6 @@ func WarmKV(kv *KV, keys int64) error { return serving.WarmKV(kv, keys) }
 
 // RunKV drives kv with w's op stream.
 func RunKV(kv *KV, w KVWorkload) (WorkloadStats, error) { return serving.RunKV(kv, w) }
-
-// RunLRU drives c with w's op stream.
-func RunLRU(c *LRU, w LRUWorkload) (WorkloadStats, error) { return serving.RunLRU(c, w) }
 
 // FillPQ pushes w.Fill elements with seeded pseudo-random priorities.
 func FillPQ(q *PQueue, w PQWorkload) error { return serving.FillPQ(q, w) }

@@ -349,17 +349,7 @@ func (a *app) morph(colorFrac float64) {
 	// data, Figure 2). With coloring on, item lists and the sphere
 	// records move to the cold region; without it, a plain bump.
 	blockSize := cfg.Geometry.BlockSize
-	var cold *layout.SegmentAllocator
-	var nextBlock func() memsys.Addr
-	if colorFrac > 0 {
-		col := must(layout.NewColoring(cfg.Geometry, colorFrac))
-		cold = must(layout.NewSegmentAllocator(a.m.Arena, col, false))
-		nextBlock = func() memsys.Addr { return must(cold.Alloc(blockSize)) }
-	} else {
-		bump := must(layout.NewBlockBump(a.m.Arena, blockSize))
-		nextBlock = func() memsys.Addr { return must(bump.Alloc()) }
-	}
-	cur, used := memsys.NilAddr, int64(0)
+	blocks := must(layout.NewBlocks(a.m.Arena, cfg.Geometry, colorFrac))
 	var relocate func(arr memsys.Addr)
 	relocate = func(arr memsys.Addr) {
 		for o := 0; o < 8; o++ {
@@ -377,11 +367,10 @@ func (a *app) morph(colorFrac float64) {
 			if n > blockSize {
 				continue // oversized list: leave it in place
 			}
-			if cur.IsNil() || used+n > blockSize {
-				cur, used = nextBlock(), 0
+			dst, _, err := blocks.Pack((n+3)&^3, false)
+			if err != nil {
+				panic(err) // kernel fail-fast policy; see must
 			}
-			dst := cur.Add(used)
-			used += (n + 3) &^ 3
 			a.m.Cache.Access(items, n, cache.Load)
 			a.m.Cache.Access(dst, n, cache.Store)
 			a.m.Arena.Memcpy(dst, items, n)
@@ -392,27 +381,19 @@ func (a *app) morph(colorFrac float64) {
 
 	// Relocate the sphere records to a contiguous cold extent (the
 	// intersect path indexes them by id, so contiguity is required).
-	if cold != nil {
+	// Only a scene that fits one cold color run can move in one
+	// piece; larger scenes keep their original placement.
+	if col, ok := blocks.Coloring(); ok {
 		total := int64(len(a.scene)) * sphereSize
-		col := must(layout.NewColoring(cfg.Geometry, colorFrac))
-		runLen := (col.Sets - col.HotSets) * col.BlockSize
-		for off := int64(0); off < total; {
-			n := total - off
-			if n > runLen {
-				n = runLen
+		if total <= (col.Sets-col.HotSets)*col.BlockSize {
+			dst, _, err := blocks.Alloc(total, false)
+			if err != nil {
+				panic(err) // kernel fail-fast policy; see must
 			}
-			// Spheres are relocated run-sized piece by piece, but
-			// each piece must stay contiguous with the previous to
-			// preserve indexing — so only a single-piece move is
-			// safe. Larger scenes keep their original placement.
-			if off == 0 && n == total {
-				dst := must(cold.Alloc(n))
-				a.m.Cache.Access(a.geom, n, cache.Load)
-				a.m.Cache.Access(dst, n, cache.Store)
-				a.m.Arena.Memcpy(dst, a.geom, n)
-				a.geom = dst
-			}
-			off += n
+			a.m.Cache.Access(a.geom, total, cache.Load)
+			a.m.Cache.Access(dst, total, cache.Store)
+			a.m.Arena.Memcpy(dst, a.geom, total)
+			a.geom = dst
 		}
 	}
 }

@@ -20,7 +20,8 @@ import (
 // model's log2(k+1) spatial-locality claim, §5.3).
 
 // ctreeSpeedup measures naive-vs-morphed search time for one machine
-// configuration and coloring fraction, in the given run context.
+// configuration and coloring fraction, in the given run context — the
+// measured side of fig10 as well as the ablations.
 func ctreeSpeedup(s *sim.Sim, cfg cache.Config, n int64, searches int, colorFrac float64) float64 {
 	measure := func(morph bool) float64 {
 		m := s.NewMachine(cfg)
@@ -30,7 +31,7 @@ func ctreeSpeedup(s *sim.Sim, cfg cache.Config, n int64, searches int, colorFrac
 			check(err)
 		}
 		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < searches/4; i++ {
+		for i := 0; i < searches/4; i++ { // steady state (§5.3)
 			t.Search(uint32(rng.Int63n(n)) + 1)
 		}
 		m.ResetStats()

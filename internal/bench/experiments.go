@@ -614,7 +614,8 @@ func Fig10(ctx context.Context, full bool) Table { return runSpec(ctx, "fig10", 
 // fig10Point measures one tree size: naive (random-placement) search
 // time over C-tree search time, against the analytic prediction.
 func fig10Point(sctx *sim.Sim, n int64, searches int, scale int64, params model.CacheParams) (pred, meas float64) {
-	lc := cache.ScaledHierarchy(scale).Levels[1]
+	cfg := cache.ScaledHierarchy(scale)
+	lc := cfg.Levels[1]
 	ct := model.CTree{
 		N:       n,
 		K:       lc.BlockSize / trees.BSTNodeSize,
@@ -622,25 +623,5 @@ func fig10Point(sctx *sim.Sim, n int64, searches int, scale int64, params model.
 		Assoc:   int64(lc.Assoc),
 		HotFrac: 0.5,
 	}
-	pred = ct.PredictedSpeedup(params)
-
-	measure := func(morph bool) float64 {
-		m := sctx.NewScaled(scale)
-		t := trees.MustBuild(m, heap.New(m.Arena), n, trees.RandomOrder, 11)
-		if morph {
-			_, err := t.Morph(0.5, nil)
-			check(err)
-		}
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < searches/4; i++ { // steady state (§5.3)
-			t.Search(uint32(rng.Int63n(n)) + 1)
-		}
-		m.ResetStats()
-		for i := 0; i < searches; i++ {
-			t.Search(uint32(rng.Int63n(n)) + 1)
-		}
-		return float64(m.Stats().TotalCycles()) / float64(searches)
-	}
-	meas = measure(false) / measure(true)
-	return pred, meas
+	return ct.PredictedSpeedup(params), ctreeSpeedup(sctx, cfg, n, searches, 0.5)
 }

@@ -217,7 +217,7 @@ func TestUsableSize(t *testing.T) {
 
 func TestLargeAllocation(t *testing.T) {
 	arena, a := newAlloc(FirstFit)
-	big := heap.MustAlloc(a, 3 * arena.PageSize())
+	big := heap.MustAlloc(a, 3*arena.PageSize())
 	if !arena.Mapped(big, 3*arena.PageSize()) {
 		t.Fatal("large allocation not mapped")
 	}

@@ -142,50 +142,27 @@ func (s Stats) Each(f func(name string, v int64)) {
 	f("aborted", s.Aborted)
 }
 
-// Placer is a reusable placement context: the pair of colored segment
-// allocators (or the uncolored block bump) plus the remaining hot
-// budget. A one-shot Reorganize creates its own; callers morphing
-// many structures against the same cache — like health's periodic
-// per-list reorganization — share one Placer so the structures do not
-// all claim the same hot cache region and conflict.
+// Placer is a reusable placement context over one layout.Blocks: the
+// colored hot/cold allocators (or the uncolored block bump) and the
+// remaining hot budget. A one-shot Reorganize creates its own; callers
+// morphing many structures against the same cache — like health's
+// periodic per-list reorganization — share one Placer so the
+// structures do not all claim the same hot cache region and conflict.
 type Placer struct {
-	geo     layout.Geometry
-	hot     *layout.SegmentAllocator
-	cold    *layout.SegmentAllocator
-	bump    *layout.BlockBump
-	hotLeft int64
-	guard   func(size int64) error // optional fault-injection hook
-
-	cur    memsys.Addr // block currently being packed
-	used   int64       // bytes used in cur
-	curHot bool
+	geo    layout.Geometry
+	blocks *layout.Blocks
+	guard  func(size int64) error // optional fault-injection hook
 }
 
 // NewPlacer builds a placement context for cfg over arena. An
 // unusable geometry or coloring fraction fails with the corresponding
 // cclerr sentinel (ErrBadGeometry / ErrInvalidArg).
 func NewPlacer(arena *memsys.Arena, cfg Config) (*Placer, error) {
-	p := &Placer{geo: cfg.Geometry}
-	if cfg.ColorFrac > 0 {
-		col, err := layout.NewColoring(cfg.Geometry, cfg.ColorFrac)
-		if err != nil {
-			return nil, err
-		}
-		p.hotLeft = col.HotSets * int64(col.Assoc)
-		if p.hot, err = layout.NewSegmentAllocator(arena, col, true); err != nil {
-			return nil, err
-		}
-		if p.cold, err = layout.NewSegmentAllocator(arena, col, false); err != nil {
-			return nil, err
-		}
-	} else {
-		bump, err := layout.NewBlockBump(arena, cfg.Geometry.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		p.bump = bump
+	blocks, err := layout.NewBlocks(arena, cfg.Geometry, cfg.ColorFrac)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	return &Placer{geo: cfg.Geometry, blocks: blocks}, nil
 }
 
 // SetPlaceGuard installs a hook consulted before every cluster
@@ -194,14 +171,13 @@ func NewPlacer(arena *memsys.Arena, cfg Config) (*Placer, error) {
 // uses this seam to inject oversized-cluster-style failures.
 func (p *Placer) SetPlaceGuard(g func(size int64) error) { p.guard = g }
 
-// place returns space for one cluster of size bytes. Clusters are
-// packed densely — "laid out linearly" as in Figure 1 — starting a
-// fresh cache block only when the cluster would straddle a block
-// boundary, so short lists and leaf clusters share blocks instead of
-// wasting them. The bool reports whether the space is in the colored
-// hot region. A cluster wider than a cache block cannot be placed and
-// fails with cclerr.ErrPlacementFailed (reachable whenever the
-// element size exceeds the block size); allocator failures propagate.
+// place returns space for one cluster of size bytes, packed densely
+// into hot blocks while the colored budget lasts, then cold ones
+// (layout.Blocks.Pack). The bool reports whether the space is in the
+// colored hot region. A cluster wider than a cache block cannot be
+// placed and fails with cclerr.ErrPlacementFailed (reachable whenever
+// the element size exceeds the block size); allocator failures
+// propagate.
 func (p *Placer) place(size int64) (memsys.Addr, bool, error) {
 	if size > p.geo.BlockSize {
 		return memsys.NilAddr, false, cclerr.Errorf(cclerr.ErrPlacementFailed,
@@ -214,57 +190,17 @@ func (p *Placer) place(size int64) (memsys.Addr, bool, error) {
 				size, cclerr.ErrPlacementFailed, err)
 		}
 	}
-	if p.cur.IsNil() || p.used+size > p.geo.BlockSize {
-		blk, hot, err := p.newBlock()
-		if err != nil {
-			return memsys.NilAddr, false, err
-		}
-		p.cur, p.curHot = blk, hot
-		p.used = 0
-	}
-	a := p.cur.Add(p.used)
-	p.used += size
-	return a, p.curHot, nil
-}
-
-// newBlock claims the next cache block: hot while the colored budget
-// lasts, then cold (or from the plain bump when coloring is off).
-func (p *Placer) newBlock() (memsys.Addr, bool, error) {
-	switch {
-	case p.bump != nil:
-		a, err := p.bump.Alloc()
-		return a, false, err
-	case p.hotLeft > 0:
-		a, err := p.hot.Alloc(p.geo.BlockSize)
-		if err != nil {
-			return memsys.NilAddr, false, err
-		}
-		p.hotLeft--
-		return a, true, nil
-	default:
-		a, err := p.cold.Alloc(p.geo.BlockSize)
-		return a, false, err
-	}
+	return p.blocks.Pack(size, true)
 }
 
 // Claimed returns the arena bytes the placer has claimed so far.
-func (p *Placer) Claimed() int64 {
-	if p.bump != nil {
-		return p.bump.Claimed()
-	}
-	return p.hot.Claimed() + p.cold.Claimed()
-}
+func (p *Placer) Claimed() int64 { return p.blocks.Claimed() }
 
 // Extents returns the arena ranges the placer has claimed so far —
 // the new layout's home — so callers can register the reorganized
 // structure as a telemetry region ("ctree-nodes") and see its misses
 // attributed separately from the old layout's.
-func (p *Placer) Extents() []memsys.AddrRange {
-	if p.bump != nil {
-		return p.bump.Extents()
-	}
-	return append(p.hot.Extents(), p.cold.Extents()...)
-}
+func (p *Placer) Extents() []memsys.AddrRange { return p.blocks.Extents() }
 
 // ClusterCost is the busy-cycle charge per element for ccmorph's
 // host-side bookkeeping (queueing, relocation-map maintenance).

@@ -21,8 +21,8 @@ import (
 	"sort"
 	"sync"
 
-	"ccl/internal/ccmorph"
 	"ccl/internal/cclerr"
+	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/memsys"
 	"ccl/internal/sim"

@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"ccl/internal/ccmorph"
 	"ccl/internal/cclerr"
+	"ccl/internal/ccmorph"
 	"ccl/internal/heap"
 	"ccl/internal/layout"
 	"ccl/internal/machine"

@@ -170,7 +170,7 @@ func TestDoubleFreeFails(t *testing.T) {
 
 func TestLargeAllocations(t *testing.T) {
 	a, h := newHeap()
-	big := MustAlloc(h, 3 * memsys.DefaultPageSize)
+	big := MustAlloc(h, 3*memsys.DefaultPageSize)
 	if !a.Mapped(big, 3*memsys.DefaultPageSize) {
 		t.Fatal("large allocation not fully mapped")
 	}

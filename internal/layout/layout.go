@@ -1,8 +1,9 @@
 // Package layout holds the placement arithmetic shared by ccmorph,
 // ccmalloc, and the cache-conscious tree implementations: mapping
 // addresses to cache sets, carving a colored virtual address space
-// (paper §2.2, Figure 2), and computing subtree-clustering parameters
-// (paper §2.1, §5.3).
+// (paper §2.2, Figure 2), the one hot/cold placement policy built on
+// it (Blocks), and computing subtree-clustering parameters (paper
+// §2.1, §5.3).
 package layout
 
 import (
@@ -255,10 +256,9 @@ func appendExtent(exts []memsys.AddrRange, start, end memsys.Addr) []memsys.Addr
 	return append(exts, memsys.AddrRange{Start: start, End: end})
 }
 
-// BlockBump hands out consecutive block-aligned cache blocks from
-// contiguous arena extents. It is the uncolored counterpart of
-// SegmentAllocator, used when clustering is wanted without coloring.
-type BlockBump struct {
+// blockBump hands out consecutive block-aligned extents from
+// contiguous arena extents: the uncolored half of Blocks.
+type blockBump struct {
 	arena     *memsys.Arena
 	blockSize int64
 	next      memsys.Addr
@@ -267,34 +267,17 @@ type BlockBump struct {
 	extents   []memsys.AddrRange
 }
 
-// NewBlockBump returns a block-granular bump allocator over arena. A
-// block size that is not a positive power of two fails with
-// cclerr.ErrBadGeometry.
-func NewBlockBump(arena *memsys.Arena, blockSize int64) (*BlockBump, error) {
-	if blockSize <= 0 || blockSize&(blockSize-1) != 0 {
-		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
-			"layout: block size %d must be a positive power of two", blockSize)
-	}
-	return &BlockBump{arena: arena, blockSize: blockSize}, nil
-}
-
-// Claimed returns the arena bytes claimed so far.
-func (b *BlockBump) Claimed() int64 { return b.claimed }
-
-// Extents returns the arena ranges claimed so far, coalesced.
-func (b *BlockBump) Extents() []memsys.AddrRange {
-	return append([]memsys.AddrRange(nil), b.extents...)
-}
-
-// Alloc returns the next block-aligned cache block, propagating
-// arena exhaustion (cclerr.ErrOutOfMemory) from the grow path.
-func (b *BlockBump) Alloc() (memsys.Addr, error) {
-	if b.next.IsNil() || b.next.Add(b.blockSize) > b.limit {
+// alloc returns the next n bytes rounded up to whole blocks,
+// propagating arena exhaustion (cclerr.ErrOutOfMemory) from the grow
+// path.
+func (b *blockBump) alloc(n int64) (memsys.Addr, error) {
+	n = alignUp(n, b.blockSize)
+	if b.next.IsNil() || b.next.Add(n) > b.limit {
 		start, err := b.arena.AlignTo(b.blockSize)
 		if err != nil {
 			return memsys.NilAddr, err
 		}
-		if _, err := b.arena.Grow(64 * b.blockSize); err != nil {
+		if _, err := b.arena.Grow(max(n, 64*b.blockSize)); err != nil {
 			return memsys.NilAddr, err
 		}
 		b.claimed += int64(b.arena.Brk()) - int64(start)
@@ -303,8 +286,141 @@ func (b *BlockBump) Alloc() (memsys.Addr, error) {
 		b.extents = appendExtent(b.extents, start, b.limit)
 	}
 	p := b.next
-	b.next = b.next.Add(b.blockSize)
+	b.next = b.next.Add(n)
 	return p, nil
+}
+
+// Blocks is the one placement source behind every cache-conscious
+// structure: ccmorph's clusters, the colored B-tree's nodes, split's
+// chunks and radiance's relocated lists all take their space here.
+// Colored, it is the paper's §2.2 policy — the first HotSets x Assoc
+// blocks' worth of hot requests land in the reserved hot sets, and
+// everything after, or not asked to be hot, lands in the cold sets.
+// Uncolored, it is a plain block bump.
+type Blocks struct {
+	geo       Geometry
+	col       Coloring
+	hot, cold *SegmentAllocator // colored mode
+	bump      *blockBump        // uncolored mode
+	hotLeft   int64             // hot budget not yet spent, in bytes
+
+	cur    memsys.Addr // block Pack is filling
+	used   int64       // bytes of cur handed out
+	curHot bool
+}
+
+// NewBlocks returns a placement source over arena for cache geometry
+// g. colorFrac > 0 two-colors the cache with that fraction of its sets
+// hot; any other value selects the uncolored block bump. An unusable
+// fraction fails with cclerr.ErrInvalidArg, and a geometry that cannot
+// be colored (fewer than two sets, a non-power-of-two way period) or
+// bumped (a non-power-of-two block size) with cclerr.ErrBadGeometry.
+func NewBlocks(arena *memsys.Arena, g Geometry, colorFrac float64) (*Blocks, error) {
+	b := &Blocks{geo: g}
+	if colorFrac > 0 {
+		col, err := NewColoring(g, colorFrac)
+		if err != nil {
+			return nil, err
+		}
+		if b.hot, err = NewSegmentAllocator(arena, col, true); err != nil {
+			return nil, err
+		}
+		if b.cold, err = NewSegmentAllocator(arena, col, false); err != nil {
+			return nil, err
+		}
+		b.col = col
+		b.hotLeft = b.HotBytes()
+		return b, nil
+	}
+	if g.BlockSize <= 0 || g.BlockSize&(g.BlockSize-1) != 0 {
+		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
+			"layout: block size %d must be a positive power of two", g.BlockSize)
+	}
+	b.bump = &blockBump{arena: arena, blockSize: g.BlockSize}
+	return b, nil
+}
+
+// Alloc returns a block-aligned extent of size bytes. It lands hot
+// when wantHot is set and the remaining hot budget covers size, and
+// cold otherwise; the bool reports which. Uncolored, every extent is
+// the next run of whole blocks and never hot. A non-positive size
+// fails with cclerr.ErrInvalidArg; the colored allocators' run-length
+// and arena errors propagate.
+func (b *Blocks) Alloc(size int64, wantHot bool) (memsys.Addr, bool, error) {
+	if size <= 0 {
+		return memsys.NilAddr, false, cclerr.Errorf(cclerr.ErrInvalidArg,
+			"layout: Blocks.Alloc(%d): non-positive size", size)
+	}
+	if b.bump != nil {
+		a, err := b.bump.alloc(size)
+		return a, false, err
+	}
+	if wantHot && b.hotLeft >= size {
+		a, err := b.hot.Alloc(size)
+		if err != nil {
+			return memsys.NilAddr, false, err
+		}
+		b.hotLeft -= size
+		return a, true, nil
+	}
+	a, err := b.cold.Alloc(size)
+	return a, false, err
+}
+
+// Pack returns space for one sub-block item of size bytes. Items are
+// packed densely — "laid out linearly" as in Figure 1 — and a fresh
+// block (claimed through Alloc with wantHot) opens only when the item
+// would straddle the current one, so short items share blocks. The
+// bool is the hotness of the block the item landed in. A size outside
+// (0, BlockSize] fails with cclerr.ErrInvalidArg or
+// cclerr.ErrPlacementFailed; allocator failures propagate.
+func (b *Blocks) Pack(size int64, wantHot bool) (memsys.Addr, bool, error) {
+	if size <= 0 {
+		return memsys.NilAddr, false, cclerr.Errorf(cclerr.ErrInvalidArg,
+			"layout: Blocks.Pack(%d): non-positive size", size)
+	}
+	if size > b.geo.BlockSize {
+		return memsys.NilAddr, false, cclerr.Errorf(cclerr.ErrPlacementFailed,
+			"layout: item of %d bytes exceeds block size %d", size, b.geo.BlockSize)
+	}
+	if b.cur.IsNil() || b.used+size > b.geo.BlockSize {
+		blk, hot, err := b.Alloc(b.geo.BlockSize, wantHot)
+		if err != nil {
+			return memsys.NilAddr, false, err
+		}
+		b.cur, b.curHot, b.used = blk, hot, 0
+	}
+	a := b.cur.Add(b.used)
+	b.used += size
+	return a, b.curHot, nil
+}
+
+// Claimed returns the arena bytes claimed so far.
+func (b *Blocks) Claimed() int64 {
+	if b.bump != nil {
+		return b.bump.claimed
+	}
+	return b.hot.Claimed() + b.cold.Claimed()
+}
+
+// Extents returns the arena ranges claimed so far — hot extents
+// first, then cold — so the structures placed here can be registered
+// with telemetry by range.
+func (b *Blocks) Extents() []memsys.AddrRange {
+	if b.bump != nil {
+		return append([]memsys.AddrRange(nil), b.bump.extents...)
+	}
+	return append(b.hot.Extents(), b.cold.Extents()...)
+}
+
+// Coloring returns the cache partition and true when b is colored,
+// or false for the uncolored block bump.
+func (b *Blocks) Coloring() (Coloring, bool) { return b.col, b.bump == nil }
+
+// HotBytes returns the whole hot budget in bytes, HotSets x Assoc x
+// BlockSize, or zero when b is uncolored.
+func (b *Blocks) HotBytes() int64 {
+	return b.col.HotSets * int64(b.col.Assoc) * b.col.BlockSize
 }
 
 // SubtreeParams describes how a tree is packed into cache blocks.

@@ -258,15 +258,12 @@ func (t *Tree) Kid(s int, i int64) int64 {
 	return int64(v)
 }
 
-// placer hands out chunk extents: colored (hot budget first, then
-// cold stripes) or plain block-bump when coloring is off.
+// placer hands out chunk extents from one layout.Blocks, adding the
+// per-array hot share and the chunk sizing on top of its policy.
 type placer struct {
-	hot     *layout.SegmentAllocator
-	cold    *layout.SegmentAllocator
-	bump    *layout.BlockBump
-	hotLeft int64 // remaining global hot budget in bytes
-	share   int64 // per-array hot budget in bytes
-	chunk   int64 // chunk payload capacity in bytes
+	blocks *layout.Blocks
+	share  int64 // per-array hot budget in bytes
+	chunk  int64 // chunk payload capacity in bytes
 }
 
 // newPlacer builds the chunk allocator. numHot is how many arrays
@@ -281,70 +278,23 @@ func newPlacer(arena *memsys.Arena, cfg Config, numHot int) (*placer, error) {
 		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
 			"split: unusable geometry %+v", g)
 	}
-	if cfg.ColorFrac > 0 {
-		col, err := layout.NewColoring(g, cfg.ColorFrac)
-		if err != nil {
-			return nil, err
-		}
-		p := &placer{hotLeft: col.HotSets * int64(col.Assoc) * g.BlockSize}
-		if p.hot, err = layout.NewSegmentAllocator(arena, col, true); err != nil {
-			return nil, err
-		}
-		if p.cold, err = layout.NewSegmentAllocator(arena, col, false); err != nil {
-			return nil, err
-		}
-		p.share = p.hotLeft / int64(numHot)
+	blocks, err := layout.NewBlocks(arena, g, cfg.ColorFrac)
+	if err != nil {
+		return nil, err
+	}
+	p := &placer{blocks: blocks, chunk: g.BlockSize}
+	if col, ok := blocks.Coloring(); ok {
+		p.share = blocks.HotBytes() / int64(numHot)
 		// A chunk must fit inside one contiguous color run of either
 		// color, so hot and cold arrays share one chunk geometry; it
 		// must also fit the per-array hot share, or no chunk could
 		// ever land hot.
-		hotRun := col.HotSets * g.BlockSize
-		coldRun := (g.Sets - col.HotSets) * g.BlockSize
-		p.chunk = hotRun
-		if coldRun < p.chunk {
-			p.chunk = coldRun
-		}
+		p.chunk = min(col.HotSets, g.Sets-col.HotSets) * g.BlockSize
 		if p.share < p.chunk {
-			p.chunk = p.share &^ (g.BlockSize - 1)
+			p.chunk = max(p.share&^(g.BlockSize-1), g.BlockSize)
 		}
-		if p.chunk < g.BlockSize {
-			p.chunk = g.BlockSize
-		}
-		return p, nil
 	}
-	bump, err := layout.NewBlockBump(arena, g.BlockSize)
-	if err != nil {
-		return nil, err
-	}
-	return &placer{bump: bump, chunk: g.BlockSize}, nil
-}
-
-// alloc returns an extent of size bytes. wantHot asks for the colored
-// hot region; it is honored while both the global budget and the
-// calling array's share (spent tracks it) have room. The bool reports
-// where the extent landed.
-func (p *placer) alloc(size int64, wantHot bool, spent int64) (memsys.Addr, bool, error) {
-	if p.bump != nil {
-		a, err := p.bump.Alloc()
-		return a, false, err
-	}
-	if wantHot && p.hotLeft >= size && spent+size <= p.share {
-		a, err := p.hot.Alloc(size)
-		if err != nil {
-			return memsys.NilAddr, false, err
-		}
-		p.hotLeft -= size
-		return a, true, nil
-	}
-	a, err := p.cold.Alloc(size)
-	return a, false, err
-}
-
-func (p *placer) claimed() int64 {
-	if p.bump != nil {
-		return p.bump.Claimed()
-	}
-	return p.hot.Claimed() + p.cold.Claimed()
+	return p, nil
 }
 
 // snapElem is the host-side record of one element taken during the
@@ -452,7 +402,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 	// order (hottest field first) so the colored budget covers the
 	// fields the profile ranked highest; the cold overflow array is
 	// always cold.
-	claimedBefore := pl.claimed()
+	claimedBefore := pl.blocks.Claimed()
 	t.hot = make([]soaArray, len(part.Hot))
 	for i, f := range part.Hot {
 		a, hotChunks, aerr := placeArray(pl, f.Size, n, true)
@@ -513,7 +463,7 @@ func Split(m *machine.Machine, root memsys.Addr, part Partition, kidFields []str
 			freeOld(elems[i].old)
 		}
 	}
-	stats.NewBytes = pl.claimed() - claimedBefore
+	stats.NewBytes = pl.blocks.Claimed() - claimedBefore
 	return t, stats, nil
 }
 
@@ -532,13 +482,16 @@ func placeArray(pl *placer, elemSize, n int64, wantHot bool) (soaArray, int64, e
 		if elems > a.perChunk {
 			elems = a.perChunk
 		}
-		addr, hot, err := pl.alloc(elems*elemSize, wantHot, spent)
+		// A hot chunk needs room in both the global budget (Blocks
+		// checks it) and this array's share.
+		size := elems * elemSize
+		addr, hot, err := pl.blocks.Alloc(size, wantHot && spent+size <= pl.share)
 		if err != nil {
 			return soaArray{}, 0, err
 		}
 		if hot {
 			hotChunks++
-			spent += elems * elemSize
+			spent += size
 		}
 		a.chunks = append(a.chunks, addr)
 	}

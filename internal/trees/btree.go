@@ -41,10 +41,7 @@ type BTree struct {
 	n         int64 // live keys
 	height    int
 
-	hot, cold  *layout.SegmentAllocator // colored allocation (optional)
-	bump       *layout.BlockBump        // uncolored allocation
-	hotLeft    int64                    // hot blocks remaining
-	claimedVia func() int64
+	blocks *layout.Blocks // node placement, colored or not
 }
 
 // MaxKeysFor returns the internal-node separator capacity for a
@@ -88,34 +85,17 @@ func NewBTree(m *machine.Machine, colorFrac float64) (*BTree, error) {
 		return nil, cclerr.Errorf(cclerr.ErrBadGeometry,
 			"trees: block size %d too small for a B-tree", geo.BlockSize)
 	}
-	t := &BTree{
+	blocks, err := layout.NewBlocks(m.Arena, geo, colorFrac)
+	if err != nil {
+		return nil, err
+	}
+	return &BTree{
 		m:         m,
 		blockSize: geo.BlockSize,
 		maxKeys:   MaxKeysFor(geo.BlockSize),
 		leafCap:   LeafKeysFor(geo.BlockSize),
-	}
-	if colorFrac > 0 {
-		col, err := layout.NewColoring(geo, colorFrac)
-		if err != nil {
-			return nil, err
-		}
-		if t.hot, err = layout.NewSegmentAllocator(m.Arena, col, true); err != nil {
-			return nil, err
-		}
-		if t.cold, err = layout.NewSegmentAllocator(m.Arena, col, false); err != nil {
-			return nil, err
-		}
-		t.hotLeft = col.HotSets * int64(col.Assoc)
-		t.claimedVia = func() int64 { return t.hot.Claimed() + t.cold.Claimed() }
-	} else {
-		bump, err := layout.NewBlockBump(m.Arena, geo.BlockSize)
-		if err != nil {
-			return nil, err
-		}
-		t.bump = bump
-		t.claimedVia = t.bump.Claimed
-	}
-	return t, nil
+		blocks:    blocks,
+	}, nil
 }
 
 // field offsets
@@ -152,19 +132,7 @@ func (t *BTree) rawSetChild(n memsys.Addr, i int, c memsys.Addr) {
 // budget lasts (construction is top-down for bulk loads, so the
 // budget covers the root-most levels). Allocation failures propagate.
 func (t *BTree) newNode(leaf bool) (memsys.Addr, error) {
-	var a memsys.Addr
-	var err error
-	switch {
-	case t.bump != nil:
-		a, err = t.bump.Alloc()
-	case t.hotLeft > 0:
-		a, err = t.hot.Alloc(t.blockSize)
-		if err == nil {
-			t.hotLeft--
-		}
-	default:
-		a, err = t.cold.Alloc(t.blockSize)
-	}
+	a, _, err := t.blocks.Alloc(t.blockSize, true)
 	if err != nil {
 		return memsys.NilAddr, err
 	}
@@ -180,7 +148,7 @@ func (t *BTree) N() int64 { return t.n }
 func (t *BTree) Height() int { return t.height }
 
 // HeapBytes returns the arena bytes claimed for nodes.
-func (t *BTree) HeapBytes() int64 { return t.claimedVia() }
+func (t *BTree) HeapBytes() int64 { return t.blocks.Claimed() }
 
 // BulkLoad builds the tree from n sorted keys 1..n, filling each node
 // to ceil(maxKeys*fill) keys. The paper's point about B-trees

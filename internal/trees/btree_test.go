@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ccl/internal/cache"
 	"ccl/internal/cclerr"
 	"ccl/internal/ccmorph"
 	"ccl/internal/layout"
@@ -189,6 +190,31 @@ func TestColoredBTreeRootIsHot(t *testing.T) {
 	}
 	if err := bt.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewBTreeErrors checks that NewBTree keeps the error classes of
+// the node placement it builds on.
+func TestNewBTreeErrors(t *testing.T) {
+	withL2 := func(size, block int64) *machine.Machine {
+		cfg := cache.PaperHierarchy()
+		cfg.Levels[1].Size, cfg.Levels[1].BlockSize = size, block
+		return machine.New(cfg)
+	}
+	cases := []struct {
+		name string
+		m    *machine.Machine
+		frac float64
+		want error
+	}{
+		{"block too small for a node", withL2(1<<20, 32), 0, cclerr.ErrBadGeometry},
+		{"coloring fraction 1", machine.NewScaled(16), 1, cclerr.ErrInvalidArg},
+		{"one-set L2 cannot be colored", withL2(64, 64), 0.5, cclerr.ErrBadGeometry},
+	}
+	for _, c := range cases {
+		if _, err := NewBTree(c.m, c.frac); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
 	}
 }
 
