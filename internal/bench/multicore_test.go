@@ -60,11 +60,11 @@ func TestGoldenMulticore(t *testing.T) {
 //     (counters) or strictly fewer (KV, whose shards still collide
 //     occasionally at granule boundaries);
 //   - padding lowers cycles per operation;
-//   - the read-only control has zero coherence misses and zero
-//     invalidations.
+//   - the read-only control has zero coherence misses, zero
+//     invalidations and zero forced writebacks.
 func TestMulticoreAcceptance(t *testing.T) {
 	tab := runMulticoreOnce(t)
-	cell := func(prefix string) (cyc float64, coh, inval int64) {
+	cell := func(prefix string) (cyc float64, coh, inval, fwb int64) {
 		t.Helper()
 		for _, r := range tab.Rows {
 			if strings.HasPrefix(r[0], prefix) {
@@ -72,23 +72,21 @@ func TestMulticoreAcceptance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coh, err := strconv.ParseInt(r[3], 10, 64)
-				if err != nil {
-					t.Fatal(err)
+				var n [3]int64
+				for i := range n {
+					if n[i], err = strconv.ParseInt(r[3+i], 10, 64); err != nil {
+						t.Fatal(err)
+					}
 				}
-				inval, err := strconv.ParseInt(r[4], 10, 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return cyc, coh, inval
+				return cyc, n[0], n[1], n[2]
 			}
 		}
 		t.Fatalf("no row with prefix %q in %v", prefix, tab.Rows)
-		return 0, 0, 0
+		return 0, 0, 0, 0
 	}
 
-	pCyc, pCoh, pInval := cell("per-core counters, packed")
-	dCyc, dCoh, dInval := cell("per-core counters, padded")
+	pCyc, pCoh, pInval, _ := cell("per-core counters, packed")
+	dCyc, dCoh, dInval, _ := cell("per-core counters, padded")
 	if pCoh == 0 {
 		t.Error("packed counters: no coherence misses")
 	}
@@ -105,8 +103,8 @@ func TestMulticoreAcceptance(t *testing.T) {
 		t.Error("packed counters: no invalidations")
 	}
 
-	kCyc, kCoh, _ := cell("sharded KV, packed")
-	qCyc, qCoh, _ := cell("sharded KV, padded")
+	kCyc, kCoh, _, _ := cell("sharded KV, packed")
+	qCyc, qCoh, _, _ := cell("sharded KV, padded")
 	if kCoh <= qCoh {
 		t.Errorf("KV coherence misses: packed %d <= padded %d", kCoh, qCoh)
 	}
@@ -114,8 +112,9 @@ func TestMulticoreAcceptance(t *testing.T) {
 		t.Errorf("KV cycles/op: packed %.2f <= padded %.2f", kCyc, qCyc)
 	}
 
-	_, tCoh, tInval := cell("shared tree search")
-	if tCoh != 0 || tInval != 0 {
-		t.Errorf("read-only control: %d coherence misses, %d invalidations, want 0/0", tCoh, tInval)
+	_, tCoh, tInval, tFwb := cell("shared tree search")
+	if tCoh != 0 || tInval != 0 || tFwb != 0 {
+		t.Errorf("read-only control: %d coherence misses, %d invalidations, %d forced writebacks, want 0/0/0",
+			tCoh, tInval, tFwb)
 	}
 }

@@ -8,8 +8,7 @@
 package mc
 
 import (
-	"fmt"
-
+	"ccl/internal/cclerr"
 	"ccl/internal/machine"
 )
 
@@ -20,9 +19,6 @@ type CounterConfig struct {
 	// Stride is the byte distance between adjacent cores' counters;
 	// 8 packs them, the coherence granule pads them apart.
 	Stride int64
-	// Work is the busy cycles charged per increment (default 1),
-	// modeling the computation between counter updates.
-	Work int64
 	// Shuffle, when non-zero, seeds a randomized interleaving in
 	// place of round-robin.
 	Shuffle int64
@@ -33,11 +29,7 @@ type CounterConfig struct {
 // Iters: invalidations move data, never corrupt it).
 func Counters(tp *machine.Topology, cfg CounterConfig) (Result, []int64) {
 	if cfg.Stride < 8 {
-		panic(fmt.Sprintf("mc: counter stride %d below the 8-byte counter size", cfg.Stride))
-	}
-	work := cfg.Work
-	if work <= 0 {
-		work = 1
+		panic(cclerr.Errorf(cclerr.ErrInvalidArg, "mc: counter stride %d below the 8-byte counter size", cfg.Stride))
 	}
 	cols := AttachCollectors(tp)
 	tp.Arena.AlignBrk(tp.Config().LLC.BlockSize)
@@ -57,7 +49,7 @@ func Counters(tp *machine.Topology, cfg CounterConfig) (Result, []int64) {
 			}
 			left--
 			c.StoreInt(slot, c.LoadInt(slot)+1)
-			c.Tick(work)
+			c.Tick(1) // the computation between counter updates
 			return left > 0
 		}
 	}

@@ -9,9 +9,9 @@
 package mc
 
 import (
-	"fmt"
 	"math/rand"
 
+	"ccl/internal/cclerr"
 	"ccl/internal/machine"
 	"ccl/internal/memsys"
 )
@@ -51,10 +51,10 @@ type KVResult struct {
 // KV runs the sharded key-value workload on tp.
 func KV(tp *machine.Topology, cfg KVConfig) KVResult {
 	if cfg.Slots <= 0 || cfg.Slots&(cfg.Slots-1) != 0 {
-		panic(fmt.Sprintf("mc: kv slots %d not a positive power of two", cfg.Slots))
+		panic(cclerr.Errorf(cclerr.ErrInvalidArg, "mc: kv slots %d not a positive power of two", cfg.Slots))
 	}
 	if cfg.StatsStride < 16 {
-		panic(fmt.Sprintf("mc: kv stats stride %d below the 16-byte stats pair", cfg.StatsStride))
+		panic(cclerr.Errorf(cclerr.ErrInvalidArg, "mc: kv stats stride %d below the 16-byte stats pair", cfg.StatsStride))
 	}
 	cols := AttachCollectors(tp)
 	gran := tp.Config().LLC.BlockSize
@@ -130,5 +130,5 @@ func kvLookupOrInsert(c *machine.Core, shard memsys.Addr, slots int64, key uint3
 			return false
 		}
 	}
-	panic("mc: kv shard full; raise Slots or lower KeyRange")
+	panic(cclerr.Errorf(cclerr.ErrOutOfMemory, "mc: kv shard full at %d slots; raise Slots or lower KeyRange", slots))
 }

@@ -1,10 +1,12 @@
 package mc
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"ccl/internal/cache"
+	"ccl/internal/cclerr"
 	"ccl/internal/machine"
 )
 
@@ -149,6 +151,11 @@ func TestTreeSearchReadSharingIsFree(t *testing.T) {
 	if res.Coh.CopiesInvalidated != 0 {
 		t.Fatalf("read-only sharing invalidated %d copies", res.Coh.CopiesInvalidated)
 	}
+	// The tree is built uncharged, so no core ever holds a Modified
+	// tree line for a reader to force back.
+	if res.Coh.ForcedWritebacks != 0 {
+		t.Fatalf("read-only sharing forced %d writebacks", res.Coh.ForcedWritebacks)
+	}
 	if res.Coh.SharedGrants == 0 {
 		t.Fatal("no shared grants: cores are not actually sharing the tree")
 	}
@@ -172,5 +179,45 @@ func TestTreeSearchDeterministic(t *testing.T) {
 		if a.Hits[i] != b.Hits[i] {
 			t.Fatal("hit counts diverged")
 		}
+	}
+}
+
+// Every driver misuse panics with a cclerr-classed error, so the bench
+// runner's recover records a failure class rather than a bare string.
+func TestDriverPanicsAreTyped(t *testing.T) {
+	kv := KVConfig{Slots: 64, Ops: 10, KeyRange: 10, StatsStride: 16}
+	cases := []struct {
+		name string
+		run  func()
+		want error
+	}{
+		{"counter stride", func() { Counters(testTopology(2), CounterConfig{Iters: 1, Stride: 4}) }, cclerr.ErrInvalidArg},
+		{"kv slots", func() {
+			cfg := kv
+			cfg.Slots = 48
+			KV(testTopology(2), cfg)
+		}, cclerr.ErrInvalidArg},
+		{"kv stats stride", func() {
+			cfg := kv
+			cfg.StatsStride = 8
+			KV(testTopology(2), cfg)
+		}, cclerr.ErrInvalidArg},
+		{"kv shard full", func() {
+			cfg := kv
+			cfg.Slots, cfg.KeyRange, cfg.Ops = 4, 50, 200
+			KV(testTopology(2), cfg)
+		}, cclerr.ErrOutOfMemory},
+		{"tree size", func() { TreeSearch(testTopology(2), TreeConfig{Nodes: 0, Searches: 1}) }, cclerr.ErrInvalidArg},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !errors.Is(err, tc.want) {
+					t.Fatalf("panic value %v, want an error wrapping %v", err, tc.want)
+				}
+			}()
+			tc.run()
+		})
 	}
 }

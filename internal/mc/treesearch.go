@@ -10,19 +10,9 @@ package mc
 import (
 	"math/rand"
 
+	"ccl/internal/heap"
 	"ccl/internal/machine"
-	"ccl/internal/memsys"
-)
-
-// Tree node layout, matching the paper's ~20-byte element (a 4-byte
-// key, two 4-byte simulated pointers, an 8-byte payload) so k = 3
-// nodes pack per 64-byte granule.
-const (
-	treeOffKey   = 0
-	treeOffLeft  = 4
-	treeOffRight = 8
-	treeOffValue = 12
-	treeNodeSize = 20
+	"ccl/internal/trees"
 )
 
 // TreeConfig parameterizes a TreeSearch run.
@@ -43,36 +33,24 @@ type TreeResult struct {
 	Hits []int64
 }
 
-// TreeSearch builds the shared tree through core 0's caches, then
-// drives every core's search loop under the schedule.
+// TreeSearch builds the shared tree — the paper's microbenchmark
+// trees.BST in depth-first order — then drives every core's search
+// loop under the schedule. Construction writes the arena directly and
+// is uncharged, as in every other experiment, so no core starts with
+// Modified tree lines.
 func TreeSearch(tp *machine.Topology, cfg TreeConfig) TreeResult {
 	cols := AttachCollectors(tp)
-	tp.Arena.AlignBrk(tp.Config().LLC.BlockSize)
-	base := tp.Arena.Sbrk(cfg.Nodes * treeNodeSize)
+	start := tp.Arena.AlignBrk(tp.Config().LLC.BlockSize)
+	tree, err := trees.BuildIn(tp.Arena, heap.New(tp.Arena), cfg.Nodes, trees.DepthFirstOrder, 0)
+	if err != nil {
+		// Panic justification: the typed error is the panic value,
+		// and the bench runner's recover turns it into a classified
+		// failure record.
+		panic(err)
+	}
 	for _, col := range cols {
-		col.Regions().Register("tree-nodes", base, cfg.Nodes*treeNodeSize)
+		col.Regions().Register("tree-nodes", start, int64(tp.Arena.Brk())-int64(start))
 	}
-
-	// Preorder construction: node i's children are found by binary
-	// splitting, allocated depth-first — the paper's clustered
-	// layout. next tracks the bump allocation.
-	next := int64(0)
-	var build func(lo, hi uint32) memsys.Addr
-	builder := tp.Core(0)
-	build = func(lo, hi uint32) memsys.Addr {
-		if lo > hi {
-			return 0
-		}
-		mid := lo + (hi-lo)/2
-		a := base.Add(next * treeNodeSize)
-		next++
-		builder.Store32(a.Add(treeOffKey), mid)
-		builder.StoreInt(a.Add(treeOffValue), int64(mid)*3)
-		builder.StoreAddr(a.Add(treeOffLeft), build(lo, mid-1))
-		builder.StoreAddr(a.Add(treeOffRight), build(mid+1, hi))
-		return a
-	}
-	root := build(1, uint32(cfg.Nodes))
 
 	hits := make([]int64, tp.Cores())
 	workers := make([]Worker, tp.Cores())
@@ -88,7 +66,7 @@ func TreeSearch(tp *machine.Topology, cfg TreeConfig) TreeResult {
 			left--
 			// Half the probes are present keys, half absent.
 			key := uint32(1 + rng.Intn(int(cfg.Nodes)*2))
-			if treeLookup(c, root, key) {
+			if tree.SearchOn(c, key) {
 				hits[core]++
 			}
 			return left > 0
@@ -101,22 +79,4 @@ func TreeSearch(tp *machine.Topology, cfg TreeConfig) TreeResult {
 		steps = RoundRobin(workers...)
 	}
 	return TreeResult{Result: collect(tp, steps, cols), Hits: hits}
-}
-
-// treeLookup descends from root through core c's caches.
-func treeLookup(c *machine.Core, root memsys.Addr, key uint32) bool {
-	for a := root; a != 0; {
-		k := c.Load32(a.Add(treeOffKey))
-		c.Tick(2) // compare/branch cost, as in the trees package
-		if k == key {
-			c.LoadInt(a.Add(treeOffValue))
-			return true
-		}
-		if key < k {
-			a = c.LoadAddr(a.Add(treeOffLeft))
-		} else {
-			a = c.LoadAddr(a.Add(treeOffRight))
-		}
-	}
-	return false
 }

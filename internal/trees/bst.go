@@ -74,7 +74,7 @@ func (o Order) String() string {
 // BST is a balanced binary search tree over the simulated heap,
 // holding keys 1..N.
 type BST struct {
-	m    *machine.Machine
+	m    *machine.Machine // nil for a BuildIn tree
 	root memsys.Addr
 	n    int64
 }
@@ -109,6 +109,18 @@ func buildShape(nodes *[]shape, lo, hi uint32) int {
 // permutation for RandomOrder. A non-positive n or unknown order
 // fails with cclerr.ErrInvalidArg; allocation failures propagate.
 func Build(m *machine.Machine, alloc heap.Allocator, n int64, order Order, seed int64) (*BST, error) {
+	t, err := BuildIn(m.Arena, alloc, n, order, seed)
+	if err != nil {
+		return nil, err
+	}
+	t.m = m
+	return t, nil
+}
+
+// BuildIn is Build on a bare arena, for a tree that no single Machine
+// owns — the multicore drivers share one across a Topology's cores.
+// A BuildIn tree has no Machine: search it only with SearchOn.
+func BuildIn(arena *memsys.Arena, alloc heap.Allocator, n int64, order Order, seed int64) (*BST, error) {
 	if n <= 0 {
 		return nil, cclerr.Errorf(cclerr.ErrInvalidArg,
 			"trees: Build(%d): need at least one key", n)
@@ -158,11 +170,11 @@ func Build(m *machine.Machine, alloc heap.Allocator, n int64, order Order, seed 
 	// part of the measured search phase.
 	for i, nd := range nodes {
 		a := addrs[i]
-		m.Arena.Store32(a.Add(bstOffKey), nd.key)
-		m.Arena.StoreAddr(a.Add(bstOffLeft), addrOf(addrs, nd.left))
-		m.Arena.StoreAddr(a.Add(bstOffRight), addrOf(addrs, nd.right))
+		arena.Store32(a.Add(bstOffKey), nd.key)
+		arena.StoreAddr(a.Add(bstOffLeft), addrOf(addrs, nd.left))
+		arena.StoreAddr(a.Add(bstOffRight), addrOf(addrs, nd.right))
 	}
-	return &BST{m: m, root: addrs[root], n: n}, nil
+	return &BST{root: addrs[root], n: n}, nil
 }
 
 // MustBuild is Build for benchmark and test construction phases that
@@ -193,18 +205,23 @@ func (t *BST) N() int64 { return t.n }
 // Root returns the root element's address.
 func (t *BST) Root() memsys.Addr { return t.root }
 
-// Machine returns the machine the tree lives on.
+// Machine returns the machine the tree lives on, or nil for a
+// BuildIn tree.
 func (t *BST) Machine() *machine.Machine { return t.m }
 
 // Search descends from the root to the key, charging every node
 // touch to the simulated cache. It returns true if the key is
 // present (always, for keys in [1, N]).
-func (t *BST) Search(key uint32) bool { return t.search(key, 0, false) }
+func (t *BST) Search(key uint32) bool { return t.search(t.m, key, 0, false) }
+
+// SearchOn is Search charged to w instead of the tree's Machine: one
+// core of a Topology searching a shared BuildIn tree, say.
+func (t *BST) SearchOn(w machine.Mem, key uint32) bool { return t.search(w, key, 0, false) }
 
 // SearchWork is Search with `work` extra busy cycles charged per
 // visited node, modeling an application that computes on each element
 // (the Olden kernels behave this way).
-func (t *BST) SearchWork(key uint32, work int64) bool { return t.search(key, work, false) }
+func (t *BST) SearchWork(key uint32, work int64) bool { return t.search(t.m, key, work, false) }
 
 // SearchGreedyPrefetch is Search with Luk & Mowry greedy software
 // prefetching: on each visit, both children are prefetched so the
@@ -212,26 +229,29 @@ func (t *BST) SearchWork(key uint32, work int64) bool { return t.search(key, wor
 // prefetch scheme). With no per-node work there is almost nothing to
 // overlap and the issue overhead makes it a slight loss — the reason
 // prefetching disappoints on bare pointer chases.
-func (t *BST) SearchGreedyPrefetch(key uint32) bool { return t.search(key, 0, true) }
+func (t *BST) SearchGreedyPrefetch(key uint32) bool { return t.search(t.m, key, 0, true) }
 
 // SearchGreedyPrefetchWork combines greedy prefetching with per-node
 // work; the work is what the prefetches overlap with.
 func (t *BST) SearchGreedyPrefetchWork(key uint32, work int64) bool {
-	return t.search(key, work, true)
+	return t.search(t.m, key, work, true)
 }
 
-func (t *BST) search(key uint32, work int64, prefetch bool) bool {
+// search is the one BST descent loop: every Search variant reaches
+// it. Loads and compare costs are charged to w; prefetches, which
+// only the Machine-backed variants issue, go to the tree's Machine.
+func (t *BST) search(w machine.Mem, key uint32, work int64, prefetch bool) bool {
 	n := t.root
 	for !n.IsNil() {
-		t.m.Tick(CompareCost)
-		k := t.m.Load32(n.Add(bstOffKey))
+		w.Tick(CompareCost)
+		k := w.Load32(n.Add(bstOffKey))
 		if key == k {
 			return true
 		}
 		var next memsys.Addr
 		if prefetch {
-			l := t.m.LoadAddr(n.Add(bstOffLeft))
-			r := t.m.LoadAddr(n.Add(bstOffRight))
+			l := w.LoadAddr(n.Add(bstOffLeft))
+			r := w.LoadAddr(n.Add(bstOffRight))
 			t.m.Prefetch(l)
 			t.m.Prefetch(r)
 			if key < k {
@@ -240,12 +260,12 @@ func (t *BST) search(key uint32, work int64, prefetch bool) bool {
 				next = r
 			}
 		} else if key < k {
-			next = t.m.LoadAddr(n.Add(bstOffLeft))
+			next = w.LoadAddr(n.Add(bstOffLeft))
 		} else {
-			next = t.m.LoadAddr(n.Add(bstOffRight))
+			next = w.LoadAddr(n.Add(bstOffRight))
 		}
 		if work > 0 {
-			t.m.Tick(work)
+			w.Tick(work)
 		}
 		n = next
 	}

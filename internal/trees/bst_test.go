@@ -1,8 +1,10 @@
 package trees
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ccl/internal/cclerr"
@@ -53,6 +55,68 @@ func TestBuildZeroFails(t *testing.T) {
 	m := machine.NewScaled(64)
 	if _, err := Build(m, heap.New(m.Arena), 0, RandomOrder, 1); !errors.Is(err, cclerr.ErrInvalidArg) {
 		t.Fatalf("Build(0) err = %v, want ErrInvalidArg", err)
+	}
+}
+
+// BuildIn and SearchOn are the Machine-free seam the multicore
+// drivers use; each must agree exactly with its Machine-bound twin.
+func TestBuildInAndSearchOn(t *testing.T) {
+	const n = 300
+	for _, order := range []Order{RandomOrder, DepthFirstOrder, LevelOrder} {
+		t.Run(order.String(), func(t *testing.T) {
+			m := machine.NewScaled(64)
+			tr := MustBuild(m, heap.New(m.Arena), n, order, 42)
+
+			// Same bytes at the same addresses as Build.
+			arena := memsys.NewArena(memsys.DefaultPageSize)
+			bare, err := BuildIn(arena, heap.New(arena), n, order, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bare.Root() != tr.Root() || arena.Brk() != m.Arena.Brk() {
+				t.Fatalf("BuildIn root/brk %v/%v, Build %v/%v", bare.Root(), arena.Brk(), tr.Root(), m.Arena.Brk())
+			}
+			size := arena.Size()
+			if !bytes.Equal(arena.ReadBytes(arena.Base(), size), m.Arena.ReadBytes(m.Arena.Base(), size)) {
+				t.Fatal("BuildIn wrote different bytes from Build")
+			}
+
+			// SearchOn(m, k) is Search(k), charge for charge.
+			m2 := machine.NewScaled(64)
+			tr2 := MustBuild(m2, heap.New(m2.Arena), n, order, 42)
+			for k := uint32(0); k <= n+1; k++ {
+				if got, want := tr2.SearchOn(m2, k), tr.Search(k); got != want {
+					t.Fatalf("key %d: SearchOn %v, Search %v", k, got, want)
+				}
+			}
+			if !reflect.DeepEqual(m2.Stats(), m.Stats()) {
+				t.Fatalf("SearchOn stats %+v, Search stats %+v", m2.Stats(), m.Stats())
+			}
+
+			// On a Topology, one core searches and only it pays.
+			tp := machine.NewTopology(machine.DefaultTopologyConfig(2))
+			shared, err := BuildIn(tp.Arena, heap.New(tp.Arena), n, order, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint32(1); k <= n; k++ {
+				if !shared.SearchOn(tp.Core(0), k) {
+					t.Fatalf("core 0 missed key %d", k)
+				}
+			}
+			if tp.CoreCycles(0) == 0 || tp.CoreCycles(1) != 0 {
+				t.Fatalf("core cycles %d/%d, want only core 0 charged", tp.CoreCycles(0), tp.CoreCycles(1))
+			}
+		})
+	}
+}
+
+func TestBuildInNonPositiveFails(t *testing.T) {
+	for _, n := range []int64{0, -1} {
+		arena := memsys.NewArena(memsys.DefaultPageSize)
+		if _, err := BuildIn(arena, heap.New(arena), n, DepthFirstOrder, 1); !errors.Is(err, cclerr.ErrInvalidArg) {
+			t.Fatalf("BuildIn(%d) err = %v, want ErrInvalidArg", n, err)
+		}
 	}
 }
 
