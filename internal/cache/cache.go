@@ -161,7 +161,9 @@ func PaperHierarchy() Config {
 // ScaledHierarchy returns the §4.1 machine with the L2 capacity scaled
 // down by factor (a power-of-two divisor) so that paper-scale
 // structure:cache ratios can be reproduced with small structures. The
-// L1 is scaled by the same factor, floored at 1 KB.
+// L1 is scaled by the same factor. Each level is floored at four sets'
+// worth of blocks (4 × BlockSize × Assoc): 64 B for the paper's
+// direct-mapped L1, so factor 32 gives a 512 B L1 of 32 blocks.
 func ScaledHierarchy(factor int64) Config {
 	c := PaperHierarchy()
 	if factor <= 1 {

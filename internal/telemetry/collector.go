@@ -7,91 +7,240 @@ import (
 	"ccl/internal/memsys"
 )
 
-// lruEntry is one node of the shadow cache's recency list.
-type lruEntry struct {
-	block      int64
-	prev, next *lruEntry
-}
-
 // lruSet is a fixed-capacity fully-associative LRU set over block
 // numbers: the shadow cache the 3C classifier compares the real
-// (set-indexed) cache against. O(1) touch and evict.
+// (set-indexed) cache against. Entries live in parallel slot arrays,
+// linked into a recency list by slot number and found through an
+// open-addressing index, so touch is O(1). The arrays grow with the
+// resident count until the set is full; from then on touch recycles
+// the LRU slot and allocates nothing.
 type lruSet struct {
-	capacity int
-	entries  map[int64]*lruEntry
-	head     *lruEntry // most recently used
-	tail     *lruEntry // least recently used
+	capacity   int
+	block      []int64 // slot -> resident block; slots fill in order, then recycle
+	prev, next []int32 // recency links between slots; -1 ends the list
+	head, tail int32   // most / least recently used slot; -1 when empty
+
+	// index maps block -> slot by linear probing over a power-of-two
+	// table at most a quarter full, which keeps probe runs short, and
+	// deletes by backward shift so no tombstones accumulate under churn.
+	index []lruBucket
+	shift uint // 64 - log2(len(index)): the hash keeps the product's top bits
+}
+
+// lruBucket is one index bucket. The block sits beside its slot so a
+// probe reads one line; ref is slot+1, so the zero bucket is empty.
+type lruBucket struct {
+	block int64
+	ref   int32
 }
 
 func newLRUSet(capacity int) *lruSet {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &lruSet{capacity: capacity, entries: make(map[int64]*lruEntry, capacity)}
+	// Start with four buckets (shift 64-2); touch doubles the index as
+	// blocks arrive, so a shadow that never fills stays small.
+	return &lruSet{capacity: capacity, head: -1, tail: -1, index: make([]lruBucket, 4), shift: 62}
+}
+
+// grow doubles the index and reinserts every resident block.
+func (s *lruSet) grow() {
+	s.index = make([]lruBucket, 2*len(s.index))
+	s.shift--
+	for slot, b := range s.block {
+		i, _ := s.find(b)
+		s.index[i] = lruBucket{block: b, ref: int32(slot) + 1}
+	}
+}
+
+// home is block's first index bucket: a Fibonacci hash, whose top bits
+// mix every bit of the block number.
+func (s *lruSet) home(block int64) uint64 {
+	return uint64(block) * 0x9e3779b97f4a7c15 >> s.shift
+}
+
+// find returns the bucket holding block, or the empty bucket that
+// ended its probe run when block is absent.
+func (s *lruSet) find(block int64) (uint64, bool) {
+	mask := uint64(len(s.index) - 1)
+	for i := s.home(block); ; i = (i + 1) & mask {
+		b := &s.index[i]
+		if b.ref == 0 {
+			return i, false
+		}
+		if b.block == block {
+			return i, true
+		}
+	}
+}
+
+// remove empties bucket i by backward-shift deletion: each later
+// entry of the probe run whose home lies at or before the hole moves
+// back into it, so lookups never need a tombstone. It returns the
+// empty bucket that ended the run.
+func (s *lruSet) remove(i uint64) uint64 {
+	mask := uint64(len(s.index) - 1)
+	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+		b := s.index[j]
+		if b.ref == 0 {
+			s.index[i] = lruBucket{}
+			return j
+		}
+		if (j-s.home(b.block))&mask >= (j-i)&mask {
+			s.index[i] = b
+			i = j
+		}
+	}
 }
 
 func (s *lruSet) contains(block int64) bool {
-	_, ok := s.entries[block]
+	_, ok := s.find(block)
 	return ok
 }
 
 // touch makes block the most recently used entry, inserting it (and
-// evicting the LRU entry if full) when absent.
-func (s *lruSet) touch(block int64) {
-	if e, ok := s.entries[block]; ok {
-		s.unlink(e)
-		s.pushFront(e)
-		return
+// evicting the LRU entry if full) when absent. It reports whether
+// block was resident before the call.
+func (s *lruSet) touch(block int64) bool {
+	if s.head >= 0 && s.block[s.head] == block {
+		// Already MRU, the common case on pointer walks: a node's key
+		// load and its child-pointer load share a block.
+		return true
 	}
-	if len(s.entries) >= s.capacity {
-		// Recycle the evicted entry for the incoming block: a full
-		// shadow set reaches a steady state where touch allocates
-		// nothing, which keeps the whole observer path (collector and
-		// the profiler layered on it) allocation-free under churn.
-		lru := s.tail
-		s.unlink(lru)
-		delete(s.entries, lru.block)
-		lru.block = block
-		s.entries[block] = lru
-		s.pushFront(lru)
-		return
+	pos, ok := s.find(block)
+	if ok {
+		slot := s.index[pos].ref - 1
+		s.unlink(slot)
+		s.pushFront(slot)
+		return true
 	}
-	e := &lruEntry{block: block}
-	s.entries[block] = e
-	s.pushFront(e)
+	slot := int32(len(s.block))
+	if len(s.block) < s.capacity {
+		s.block = append(s.block, block)
+		s.prev = append(s.prev, 0)
+		s.next = append(s.next, 0)
+	} else {
+		// Recycle the LRU slot. Its deletion shifts only its own probe
+		// run; pos, where block's probe stopped, moves only if that run
+		// is block's run too.
+		slot = s.tail
+		s.unlink(slot)
+		victim, _ := s.find(s.block[slot])
+		if s.remove(victim) == pos {
+			pos, _ = s.find(block)
+		}
+	}
+	s.block[slot] = block
+	s.index[pos] = lruBucket{block: block, ref: slot + 1}
+	s.pushFront(slot)
+	if 4*len(s.block) > len(s.index) {
+		s.grow()
+	}
+	return false
 }
 
-func (s *lruSet) unlink(e *lruEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (s *lruSet) unlink(slot int32) {
+	p, n := s.prev[slot], s.next[slot]
+	if p >= 0 {
+		s.next[p] = n
 	} else {
-		s.head = e.next
+		s.head = n
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if n >= 0 {
+		s.prev[n] = p
 	} else {
-		s.tail = e.prev
+		s.tail = p
 	}
-	e.prev, e.next = nil, nil
 }
 
-func (s *lruSet) pushFront(e *lruEntry) {
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+func (s *lruSet) pushFront(slot int32) {
+	s.prev[slot] = -1
+	s.next[slot] = s.head
+	if s.head >= 0 {
+		s.prev[s.head] = slot
+	} else {
+		s.tail = slot
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	s.head = slot
+}
+
+// pageShift sizes a bitset page at 2^15 bits (4 KiB).
+const pageShift = 15
+
+type bitPage [1 << pageShift / 64]uint64
+
+// bitset is a set of int64 keys held as a paged bitmap: key k lives in
+// page k>>pageShift, allocated when one of its keys is first set. A
+// set over keys spanning n consecutive values costs about n/8 bytes
+// however often they recur, and a one-page memo skips the directory
+// lookup while accesses stay within a page.
+type bitset struct {
+	pages    map[int64]*bitPage // nil until the first set
+	lastPage int64
+	last     *bitPage // memo: page lastPage, nil before any lookup hit
+}
+
+// page returns the page holding key, allocating it when alloc is set;
+// it returns nil for an absent page when alloc is clear.
+func (b *bitset) page(key int64, alloc bool) *bitPage {
+	pn := key >> pageShift
+	if b.last != nil && b.lastPage == pn {
+		return b.last
+	}
+	p := b.pages[pn]
+	if p == nil {
+		if !alloc {
+			return nil
+		}
+		if b.pages == nil {
+			b.pages = map[int64]*bitPage{}
+		}
+		p = new(bitPage)
+		b.pages[pn] = p
+	}
+	b.lastPage, b.last = pn, p
+	return p
+}
+
+// bit splits key into its page word and the mask within that word.
+func bit(key int64) (word int, mask uint64) {
+	i := uint64(key) & (1<<pageShift - 1)
+	return int(i >> 6), 1 << (i & 63)
+}
+
+// testAndSet adds key and reports whether it was already present.
+func (b *bitset) testAndSet(key int64) bool {
+	p := b.page(key, true)
+	w, m := bit(key)
+	old := p[w]&m != 0
+	p[w] |= m
+	return old
+}
+
+func (b *bitset) test(key int64) bool {
+	p := b.page(key, false)
+	if p == nil {
+		return false
+	}
+	w, m := bit(key)
+	return p[w]&m != 0
+}
+
+func (b *bitset) set(key int64) { b.testAndSet(key) }
+
+func (b *bitset) clear(key int64) {
+	if p := b.page(key, false); p != nil {
+		w, m := bit(key)
+		p[w] &^= m
 	}
 }
 
 // levelTel is one cache level's telemetry state.
 type levelTel struct {
-	name      string
-	blockSize int64
-	shadow    *lruSet            // same capacity, fully associative
-	seen      map[int64]struct{} // blocks ever referenced at this level
+	name       string
+	blockShift uint    // log2(BlockSize); block sizes are validated powers of two
+	shadow     *lruSet // same capacity, fully associative
+	seen       bitset  // blocks ever referenced at this level
 
 	accesses      int64
 	hits          int64
@@ -103,12 +252,12 @@ type levelTel struct {
 
 // heatCounters are the per-set counters of the last-level cache.
 type heatCounters struct {
-	sets      int64
-	blockSize int64
-	accesses  []int64
-	misses    []int64
-	conflicts []int64
-	evictions []int64
+	sets       int64
+	blockShift uint
+	accesses   []int64
+	misses     []int64
+	conflicts  []int64
+	evictions  []int64
 }
 
 // Collector implements cache.Observer: it classifies every demand
@@ -135,9 +284,9 @@ type Collector struct {
 	// invalidated while this core held them (MarkInvalidated, wired
 	// from a topology's directory hooks). The next miss on a marked
 	// granule classifies as Coherence instead of consulting the
-	// shadow caches; the mark is then consumed. nil (the default) is
-	// the single-core case, tested once per access.
-	inval    map[int64]struct{}
+	// shadow caches; the mark is then consumed. A set with no page
+	// (the default) is the single-core case, tested once per access.
+	inval    bitset
 	cohShift uint
 }
 
@@ -149,20 +298,19 @@ func NewCollector(cfg cache.Config) *Collector {
 	c := &Collector{cfg: cfg, regions: NewRegionMap(len(cfg.Levels))}
 	for _, lc := range cfg.Levels {
 		c.levels = append(c.levels, &levelTel{
-			name:      lc.Name,
-			blockSize: lc.BlockSize,
-			shadow:    newLRUSet(int(lc.Size / lc.BlockSize)),
-			seen:      map[int64]struct{}{},
+			name:       lc.Name,
+			blockShift: uint(bits.TrailingZeros64(uint64(lc.BlockSize))),
+			shadow:     newLRUSet(int(lc.Size / lc.BlockSize)),
 		})
 	}
 	last := cfg.Levels[len(cfg.Levels)-1]
 	c.heat = heatCounters{
-		sets:      last.Sets(),
-		blockSize: last.BlockSize,
-		accesses:  make([]int64, last.Sets()),
-		misses:    make([]int64, last.Sets()),
-		conflicts: make([]int64, last.Sets()),
-		evictions: make([]int64, last.Sets()),
+		sets:       last.Sets(),
+		blockShift: uint(bits.TrailingZeros64(uint64(last.BlockSize))),
+		accesses:   make([]int64, last.Sets()),
+		misses:     make([]int64, last.Sets()),
+		conflicts:  make([]int64, last.Sets()),
+		evictions:  make([]int64, last.Sets()),
 	}
 	return c
 }
@@ -191,13 +339,14 @@ func (c *Collector) Reset() {
 	c.lastLL, c.lastCls = false, Compulsory
 }
 
-// classify assigns the 3C class of a miss at level li for block blk.
-// The caller has not yet touched the shadow cache for this access.
-func (lt *levelTel) classify(blk int64) MissClass {
-	if _, ok := lt.seen[blk]; !ok {
+// classify assigns the 3C class of a miss on a block, given whether
+// the level had referenced the block before this access and whether
+// the shadow cache held it.
+func classify(seen, resident bool) MissClass {
+	if !seen {
 		return Compulsory
 	}
-	if lt.shadow.contains(blk) {
+	if resident {
 		// A fully-associative cache of the same capacity would have
 		// hit: the set mapping is at fault.
 		return Conflict
@@ -215,8 +364,8 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 	// the block is gone because a remote store took it, whatever the
 	// shadow caches think. Consumed below once any level misses.
 	coherent := false
-	if c.inval != nil {
-		_, coherent = c.inval[int64(addr)>>c.cohShift]
+	if c.inval.pages != nil { // no mark ever: every single-core run
+		coherent = c.inval.test(int64(addr) >> c.cohShift)
 	}
 	consumed := false
 	for i, lt := range c.levels {
@@ -224,43 +373,45 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 			break
 		}
 		lt.accesses++
-		blk := int64(addr) / lt.blockSize
-		if i == hitLevel {
-			lt.hits++
-		} else {
+		blk := int64(addr >> lt.blockShift)
+		seen := lt.seen.testAndSet(blk)
+		resident := lt.shadow.touch(blk)
+		missed := i != hitLevel
+		var cls MissClass
+		if missed {
 			lt.misses++
-			cls := lt.classify(blk)
+			cls = classify(seen, resident)
 			if coherent {
 				cls = Coherence
 				consumed = true
 			}
 			lt.classes[cls]++
 			reg.misses[i]++
-			if i == last {
+		} else {
+			lt.hits++
+		}
+		if i == last {
+			set := blk % c.heat.sets
+			c.heat.accesses[set]++
+			if missed {
 				c.lastLL, c.lastCls = true, cls
 				reg.classes[cls]++
-				set := blk % c.heat.sets
 				c.heat.misses[set]++
 				if cls == Conflict {
 					c.heat.conflicts[set]++
 				}
 			}
 		}
-		if i == last {
-			c.heat.accesses[blk%c.heat.sets]++
-		}
-		lt.seen[blk] = struct{}{}
-		lt.shadow.touch(blk)
 	}
 	if consumed {
-		delete(c.inval, int64(addr)>>c.cohShift)
+		c.inval.clear(int64(addr) >> c.cohShift)
 	}
 }
 
 // OnEvict implements cache.Observer.
 func (c *Collector) OnEvict(level int, addr memsys.Addr, dirty bool) {
 	if level == len(c.levels)-1 {
-		set := (int64(addr) / c.heat.blockSize) % c.heat.sets
+		set := int64(addr>>c.heat.blockShift) % c.heat.sets
 		c.heat.evictions[set]++
 	}
 }
@@ -289,11 +440,10 @@ func (c *Collector) LastLLMissClass() (MissClass, bool) { return c.lastCls, c.la
 // the directory's per-core invalidation hooks; span is the coherence
 // granule (a power of two) and is fixed on first call.
 func (c *Collector) MarkInvalidated(addr memsys.Addr, span int64) {
-	if c.inval == nil {
-		c.inval = make(map[int64]struct{})
+	if c.inval.pages == nil {
 		c.cohShift = uint(bits.TrailingZeros64(uint64(span)))
 	}
-	c.inval[int64(addr)>>c.cohShift] = struct{}{}
+	c.inval.set(int64(addr) >> c.cohShift)
 	c.regions.find(addr).invalidations++
 }
 
