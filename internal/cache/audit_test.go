@@ -57,6 +57,7 @@ func currentAudits() []structAudit {
 		auditOf("cache.LevelStats", unsafe.Sizeof(LevelStats{}), unsafe.Alignof(LevelStats{})),
 		auditOf("coherence.Action", unsafe.Sizeof(coherence.Action{}), unsafe.Alignof(coherence.Action{})),
 		auditOf("coherence.State", unsafe.Sizeof(coherence.State(0)), unsafe.Alignof(coherence.State(0))),
+		auditOf("coherence.Entry", unsafe.Sizeof(coherence.Entry{}), unsafe.Alignof(coherence.Entry{})),
 	}
 }
 
@@ -92,10 +93,10 @@ func TestStructAudit(t *testing.T) {
 func TestStructAuditInvariants(t *testing.T) {
 	// The per-way metadata must stay a power-of-two 32 bytes: two
 	// lines per 64-byte cache line, no element ever straddles one.
-	// The MESI stamp was added inside existing padding; growing line
-	// past 32 bytes doubles the metadata footprint of every set scan.
+	// Growing line past 32 bytes doubles the metadata footprint of
+	// every set scan.
 	if s := unsafe.Sizeof(line{}); s != 32 {
-		t.Errorf("cache.line is %d bytes, want 32 (MESI byte must ride in padding)", s)
+		t.Errorf("cache.line is %d bytes, want 32", s)
 	}
 	// The probe scratch must fit a line: one per level, read and
 	// written on every miss.
@@ -107,13 +108,10 @@ func TestStructAuditInvariants(t *testing.T) {
 	if s := unsafe.Sizeof(coherence.Action{}); s > hostCacheLine {
 		t.Errorf("coherence.Action is %d bytes, exceeds one cache line", s)
 	}
-	// Directory state must stay a single byte: the reference model
-	// and the per-line stamp both assume the numeric correspondence.
+	// Directory state must stay a single byte: it shares the
+	// directory entry with two 64-bit core masks.
 	if s := unsafe.Sizeof(coherence.State(0)); s != 1 {
 		t.Errorf("coherence.State is %d bytes, want 1", s)
-	}
-	if s := unsafe.Sizeof(MESI(0)); s != 1 {
-		t.Errorf("cache.MESI is %d bytes, want 1", s)
 	}
 	// The crossing gate applies to the bulk array element type the
 	// demand path scans per set: line. (probe and level live in tiny

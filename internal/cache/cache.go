@@ -226,16 +226,15 @@ type Observer interface {
 // line is one cache block's bookkeeping beyond its tag (tags live in
 // the level's dense tag slice so lookups scan contiguous memory). The
 // struct packs into 32 bytes — two lines per 64-byte cache line of the
-// host — and the struct-audit test (struct_audit_test.go) locks that
-// in: the mesi byte rides in padding that was already there, so the
-// multicore seam costs the single-core demand path nothing.
+// host — and the struct audit (audit_test.go) locks that in. It holds
+// no coherence state: in a topology, the directory alone owns MESI
+// state (internal/coherence).
 type line struct {
 	lastUse    int64 // for LRU
 	fillReady  int64 // cycle at which the fill completes
 	minStall   int64 // ROB-lead floor on the first demand touch (HW prefetch)
 	dirty      bool
 	prefetched bool // installed by a prefetch, not yet demand-touched
-	mesi       MESI // coherence state stamp (coherent.go); 0 = untracked
 }
 
 // LevelStats holds the per-level counters.

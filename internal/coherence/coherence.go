@@ -1,11 +1,14 @@
 // Package coherence implements a directory-based MESI protocol over
 // the per-core private hierarchies of a machine.Topology.
 //
-// The directory tracks one state per (core, coherence granule), where
-// the granule is the shared last-level cache's block size — the unit
-// at which real coherence protocols operate and the unit at which
+// The directory tracks one MESI state per (core, coherence granule),
+// where the granule is the shared last-level cache's block size — the
+// unit at which real coherence protocols operate and the unit at which
 // false sharing happens (paper motivation: structure layout can cause
-// or cure exactly these misses). Every demand access first consults
+// or cure exactly these misses). The state is stored granule-major:
+// one packed Entry per granule (holder mask, the holders' common
+// state, pending coherence-miss marks) in a flat.Table, so a snoop
+// walks the set bits of one mask. Every demand access first consults
 // the directory (Transact); the directory snoops the other cores'
 // private caches through the Port seam (cache.Hierarchy implements it
 // directly), invalidating or downgrading remote copies and charging
@@ -30,9 +33,10 @@
 package coherence
 
 import (
-	"fmt"
 	"math/bits"
 
+	"ccl/internal/cclerr"
+	"ccl/internal/flat"
 	"ccl/internal/memsys"
 )
 
@@ -102,10 +106,10 @@ func (c Config) Defaults() Config {
 // Validate reports a configuration error, if any.
 func (c Config) Validate() error {
 	if c.BlockSize <= 0 || c.BlockSize&(c.BlockSize-1) != 0 {
-		return fmt.Errorf("coherence: block size %d is not a positive power of two", c.BlockSize)
+		return cclerr.Errorf(cclerr.ErrBadGeometry, "coherence: block size %d is not a positive power of two", c.BlockSize)
 	}
 	if c.SnoopLatency < 0 || c.InvalidateLatency < 0 || c.WritebackLatency < 0 {
-		return fmt.Errorf("coherence: latencies must be non-negative")
+		return cclerr.Errorf(cclerr.ErrBadGeometry, "coherence: latencies must be non-negative")
 	}
 	return nil
 }
@@ -171,17 +175,29 @@ type Action struct {
 	CoherenceMiss bool
 }
 
+// Entry is the directory's packed record for one coherence granule.
+// The zero Entry is a granule no core holds.
+type Entry struct {
+	// holders has bit i set while core i holds a copy in the
+	// directory's view (silent evictions can leave a bit stale).
+	holders uint64
+	// pending has bit i set when core i's resident copy was
+	// invalidated by a remote store; core i's next transaction on
+	// the granule is a coherence miss and consumes the mark.
+	pending uint64
+	// state is every holder's state: Shared when several cores hold
+	// the granule, Exclusive or Modified when one does.
+	state State
+}
+
 // Directory is the MESI state table plus the snoop fan-out. Build
 // with New, register each core's Port, then route every demand access
 // through Transact before the private cache sees it.
 type Directory struct {
-	cfg    Config
-	shift  uint
-	ports  []Port
-	states []map[int64]State // per-core granule -> state
-	// pending marks granules invalidated while resident: the core's
-	// next transaction on that granule is a coherence miss.
-	pending []map[int64]struct{}
+	cfg     Config
+	shift   uint
+	ports   []Port
+	entries flat.Table[Entry] // granule index -> entry
 	// onInvalidate hooks feed telemetry (per-core collectors mark
 	// the granule so the next miss classifies as coherence).
 	onInvalidate []func(addr memsys.Addr, span int64)
@@ -189,29 +205,22 @@ type Directory struct {
 }
 
 // New builds a directory for cores cores. Panics on invalid
-// configuration or cores outside [1, 64] (the Action bitmask width):
-// directories are built from trusted topology setup code.
+// configuration or cores outside [1, 64] (the width of an Entry's
+// masks): directories are built from trusted topology setup code.
 func New(cores int, cfg Config) *Directory {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if cores < 1 || cores > 64 {
-		panic(fmt.Sprintf("coherence: cores %d outside [1, 64]", cores))
+		panic(cclerr.Errorf(cclerr.ErrInvalidArg, "coherence: cores %d outside [1, 64]", cores))
 	}
-	d := &Directory{
+	return &Directory{
 		cfg:          cfg,
 		shift:        uint(bits.TrailingZeros64(uint64(cfg.BlockSize))),
 		ports:        make([]Port, cores),
-		states:       make([]map[int64]State, cores),
-		pending:      make([]map[int64]struct{}, cores),
 		onInvalidate: make([]func(memsys.Addr, int64), cores),
 	}
-	for i := range d.states {
-		d.states[i] = make(map[int64]State)
-		d.pending[i] = make(map[int64]struct{})
-	}
-	return d
 }
 
 // Config returns the directory's (defaulted) configuration.
@@ -235,13 +244,11 @@ func (d *Directory) Stats() Stats { return d.stats }
 
 // State returns core's directory state for addr's granule.
 func (d *Directory) State(core int, addr memsys.Addr) State {
-	return d.states[core][int64(addr)>>d.shift]
-}
-
-// granule returns the granule index and base address covering addr.
-func (d *Directory) granule(addr memsys.Addr) (int64, memsys.Addr) {
-	g := int64(addr) >> d.shift
-	return g, memsys.Addr(g << d.shift)
+	e := d.entries.Find(int64(addr) >> d.shift)
+	if e == nil || e.holders&(1<<uint(core)) == 0 {
+		return Invalid
+	}
+	return e.state
 }
 
 // Transact routes one demand access (store=false for loads) through
@@ -250,85 +257,66 @@ func (d *Directory) granule(addr memsys.Addr) (int64, memsys.Addr) {
 // boundary (the topology splits first). Remote cores are visited in
 // ascending index order, so the snoop fan-out is deterministic.
 func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
-	g, base := d.granule(addr)
-	st := d.states[core][g]
+	g := int64(addr) >> d.shift
+	e := d.entries.At(g)
+	me := uint64(1) << uint(core)
+	held := e.holders&me != 0
 	var act Action
 
-	// A miss (Invalid) consumes a pending invalidated-while-resident
-	// mark: the copy this core lost to a remote store is why it is
-	// about to miss.
-	if st == Invalid {
-		if _, ok := d.pending[core][g]; ok {
-			delete(d.pending[core], g)
-			act.CoherenceMiss = true
-			d.stats.CoherenceMisses++
-		}
+	switch {
+	case held && !store:
+		act.Granted = e.state
+		return act
+	case held && e.state != Shared:
+		// Store by the sole holder: M stays M, E upgrades to M
+		// silently. No transaction needed.
+		e.state = Modified
+		act.Granted = Modified
+		return act
+	case !held && e.pending&me != 0:
+		// A miss consumes a pending invalidated-while-resident mark:
+		// the copy this core lost to a remote store is why it is
+		// about to miss.
+		e.pending &^= me
+		act.CoherenceMiss = true
+		d.stats.CoherenceMisses++
 	}
 
+	base := memsys.Addr(g << d.shift)
+	others := e.holders &^ me
+	act.Bus = true
+	act.ExtraLatency = d.cfg.SnoopLatency
+	d.stats.Transactions++
+
 	if !store {
-		if st != Invalid {
-			act.Granted = st
-			return act
-		}
-		// Read miss: snoop, force writeback of a remote M copy,
-		// demote remote E/M to S, grant S if anyone shares else E.
-		act.Bus = true
-		act.ExtraLatency = d.cfg.SnoopLatency
+		// Read miss: force writeback of a remote M copy, demote
+		// remote E/M to S, grant S if anyone shares else E. Only a
+		// sole holder can be Modified.
 		granted := Exclusive
-		for p := range d.ports {
-			if p == core {
-				continue
-			}
-			ps := d.states[p][g]
-			if ps == Invalid {
-				continue
-			}
+		if others != 0 {
 			granted = Shared
-			if ps == Modified {
-				if d.ports[p] != nil {
-					d.ports[p].Downgrade(base, d.cfg.BlockSize)
+			if e.state == Modified {
+				if port := d.ports[bits.TrailingZeros64(others)]; port != nil {
+					port.Downgrade(base, d.cfg.BlockSize)
 				}
 				act.ForcedWB = true
 				act.ExtraLatency += d.cfg.WritebackLatency
 				d.stats.ForcedWritebacks++
 			}
-			d.states[p][g] = Shared
-		}
-		d.states[core][g] = granted
-		act.Granted = granted
-		d.stats.Transactions++
-		if granted == Shared {
 			d.stats.SharedGrants++
 		} else {
 			d.stats.ExclusiveGrants++
 		}
+		e.holders |= me
+		e.state = granted
+		act.Granted = granted
 		d.stats.ExtraCycles += act.ExtraLatency
 		return act
 	}
 
-	// Store.
-	switch st {
-	case Modified:
-		act.Granted = Modified
-		return act
-	case Exclusive:
-		// Silent E -> M upgrade: no transaction needed.
-		d.states[core][g] = Modified
-		act.Granted = Modified
-		return act
-	}
-
 	// Shared upgrade or Invalid RFO: invalidate every remote copy.
-	act.Bus = true
-	act.ExtraLatency = d.cfg.SnoopLatency
-	for p := range d.ports {
-		if p == core {
-			continue
-		}
-		ps := d.states[p][g]
-		if ps == Invalid {
-			continue
-		}
+	for rem := others; rem != 0; rem &= rem - 1 {
+		p := bits.TrailingZeros64(rem)
 		d.stats.InvalidationsSent++
 		act.ExtraLatency += d.cfg.InvalidateLatency
 		resident, dirty := false, false
@@ -343,21 +331,20 @@ func (d *Directory) Transact(core int, addr memsys.Addr, store bool) Action {
 		if resident {
 			act.Invalidated |= 1 << uint(p)
 			d.stats.CopiesInvalidated++
-			d.pending[p][g] = struct{}{}
+			e.pending |= 1 << uint(p)
 			if d.onInvalidate[p] != nil {
 				d.onInvalidate[p](base, d.cfg.BlockSize)
 			}
 		}
-		d.states[p][g] = Invalid
 	}
-	d.states[core][g] = Modified
-	act.Granted = Modified
-	d.stats.Transactions++
-	if st == Shared {
+	if held {
 		d.stats.Upgrades++
 	} else {
 		d.stats.RFOs++
 	}
+	e.holders = me
+	e.state = Modified
+	act.Granted = Modified
 	d.stats.ExtraCycles += act.ExtraLatency
 	return act
 }

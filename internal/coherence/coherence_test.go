@@ -1,8 +1,10 @@
 package coherence
 
 import (
+	"errors"
 	"testing"
 
+	"ccl/internal/cclerr"
 	"ccl/internal/memsys"
 )
 
@@ -61,8 +63,8 @@ func TestConfigValidate(t *testing.T) {
 		{BlockSize: 64, SnoopLatency: -1},
 	}
 	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %+v accepted", c)
+		if err := c.Validate(); !errors.Is(err, cclerr.ErrBadGeometry) {
+			t.Errorf("config %+v: error %v, want one wrapping %v", c, err, cclerr.ErrBadGeometry)
 		}
 	}
 }

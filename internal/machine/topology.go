@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"ccl/internal/cache"
+	"ccl/internal/cclerr"
 	"ccl/internal/coherence"
 	"ccl/internal/memsys"
 )
@@ -48,21 +49,24 @@ func (cfg TopologyConfig) withDefaults() TopologyConfig {
 // applied first, so a config is judged as NewTopology would build it.
 func (cfg TopologyConfig) Validate() error {
 	cfg = cfg.withDefaults()
+	bad := func(format string, args ...any) error {
+		return cclerr.Errorf(cclerr.ErrBadGeometry, "machine: topology "+format, args...)
+	}
 	if cfg.Cores < 1 || cfg.Cores > 64 {
-		return fmt.Errorf("machine: topology cores %d outside [1, 64]", cfg.Cores)
+		return bad("cores %d outside [1, 64]", cfg.Cores)
 	}
 	if err := cfg.Private.Validate(); err != nil {
-		return fmt.Errorf("machine: topology private hierarchy: %w", err)
+		return bad("private hierarchy: %v", err)
 	}
 	if err := cfg.LLC.Validate(); err != nil {
-		return fmt.Errorf("machine: topology LLC: %w", err)
+		return bad("LLC: %v", err)
 	}
 	if cfg.MemLatency <= 0 {
-		return fmt.Errorf("machine: topology memory latency must be positive")
+		return bad("memory latency must be positive")
 	}
 	for _, l := range cfg.Private.Levels {
 		if l.BlockSize > cfg.LLC.BlockSize {
-			return fmt.Errorf("machine: topology: private level %q block size %d exceeds LLC block size %d (the coherence granule)",
+			return bad("private level %q block size %d exceeds LLC block size %d (the coherence granule)",
 				l.Name, l.BlockSize, cfg.LLC.BlockSize)
 		}
 	}
@@ -213,10 +217,10 @@ func (t *Topology) AccessDetailed(core int, addr memsys.Addr, size int64, kind c
 // each granule through protocol -> private hierarchy -> shared LLC.
 func (t *Topology) access(core int, addr memsys.Addr, size int64, kind cache.AccessKind, detailed bool, buf []AccessDetail) (int64, []AccessDetail) {
 	if kind == cache.PrefetchRead {
-		panic("machine: topology access with PrefetchRead; prefetches are single-core only")
+		panic(cclerr.Errorf(cclerr.ErrInvalidArg, "machine: topology access with PrefetchRead; prefetches are single-core only"))
 	}
 	if size <= 0 {
-		panic("machine: topology access with non-positive size")
+		panic(cclerr.Errorf(cclerr.ErrInvalidArg, "machine: topology access with non-positive size %d", size))
 	}
 	mask := t.span - 1
 	var total int64
@@ -239,8 +243,8 @@ func (t *Topology) access(core int, addr memsys.Addr, size int64, kind cache.Acc
 }
 
 // accessGranule handles one access contained in a single coherence
-// granule: directory transaction, private descent, LLC on a full
-// private miss, and a MESI stamp on the (re)installed lines.
+// granule: directory transaction, private descent, and the LLC on a
+// full private miss. The directory alone records the granted state.
 func (t *Topology) accessGranule(core int, addr memsys.Addr, size int64, kind cache.AccessKind) (int64, AccessDetail) {
 	d := AccessDetail{Core: core, Addr: addr, Size: size, Store: kind == cache.Store}
 	d.Coh = t.dir.Transact(core, addr, d.Store)
@@ -258,11 +262,6 @@ func (t *Topology) accessGranule(core int, addr memsys.Addr, size int64, kind ca
 		cycles += t.llc.Access(base, t.span, kind)
 		d.LLCMiss = t.llc.MemAccesses() > llcBefore
 	}
-
-	// Stamp the granted state on whatever lines are now resident so
-	// per-line introspection matches the directory's view.
-	base := memsys.Addr(int64(addr) &^ (t.span - 1))
-	h.SetBlockState(base, t.span, cache.MESI(d.Coh.Granted))
 
 	cycles += d.Coh.ExtraLatency
 	d.Cycles = cycles

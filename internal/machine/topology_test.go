@@ -1,10 +1,15 @@
 package machine
 
 import (
+	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"ccl/internal/cache"
+	"ccl/internal/cclerr"
 	"ccl/internal/coherence"
+	"ccl/internal/flat"
 	"ccl/internal/memsys"
 )
 
@@ -55,11 +60,75 @@ func TestTopologyConfigValidate(t *testing.T) {
 			if tc.ok && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if !tc.ok && err == nil {
-				t.Fatalf("invalid config accepted: %+v", cfg)
+			if !tc.ok && !errors.Is(err, cclerr.ErrBadGeometry) {
+				t.Fatalf("invalid config: error %v, want one wrapping %v", err, cclerr.ErrBadGeometry)
 			}
 		})
 	}
+}
+
+// Every topology misuse panics with a cclerr-classed error, so the
+// bench runner's recover records a failure class rather than a bare
+// string.
+func TestTopologyPanicsAreTyped(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func()
+		want error
+	}{
+		{"invalid topology", func() {
+			cfg := smallTopology(2)
+			cfg.MemLatency = 0
+			NewTopology(cfg)
+		}, cclerr.ErrBadGeometry},
+		{"directory granule", func() { coherence.New(2, coherence.Config{BlockSize: 48}) }, cclerr.ErrBadGeometry},
+		{"directory cores", func() { coherence.New(65, coherence.Config{BlockSize: 64}) }, cclerr.ErrInvalidArg},
+		{"prefetch access", func() { NewTopology(smallTopology(1)).Access(0, 0, 8, cache.PrefetchRead) }, cclerr.ErrInvalidArg},
+		{"empty access", func() { NewTopology(smallTopology(1)).Access(0, 0, 0, cache.Load) }, cclerr.ErrInvalidArg},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				err, ok := recover().(error)
+				if !ok || !errors.Is(err, tc.want) {
+					t.Fatalf("panic value %v, want an error wrapping %v", err, tc.want)
+				}
+			}()
+			tc.run()
+		})
+	}
+}
+
+// TestDirectoryMemoryBounded streams 1M distinct granules through a
+// 4-core topology and bounds the heap growth by one directory entry
+// per granule plus one partial table page, and 48 B of page directory
+// (a map entry) per page: ~27 MiB. Per-core maps holding an entry per
+// granule cost ~36 B per granule, ~38 MiB.
+func TestDirectoryMemoryBounded(t *testing.T) {
+	const granules = 1 << 20
+	tp := NewTopology(DefaultTopologyConfig(4))
+	span := tp.Config().LLC.BlockSize
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := int64(0); i < granules; i++ {
+		tp.Access(int(i%4), memsys.Addr(i*span), 8, cache.Load)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	entry := int64(unsafe.Sizeof(coherence.Entry{}))
+	bound := granules*entry + flat.PageLen*entry + granules/flat.PageLen*48
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if grew > bound {
+		t.Errorf("heap grew %d B over %d distinct granules, bound %d B", grew, granules, bound)
+	}
+	t.Logf("heap grew %d B over %d distinct granules (bound %d B)", grew, granules, bound)
+	if got := tp.Directory().Stats().ExclusiveGrants; got != granules {
+		t.Errorf("exclusive grants = %d, want %d", got, granules)
+	}
+	runtime.KeepAlive(tp)
 }
 
 func TestNewTopologyGeometry(t *testing.T) {
@@ -116,25 +185,6 @@ func TestDefaultTopologyConfig(t *testing.T) {
 	}
 }
 
-// States must correspond numerically across the coherence/cache
-// boundary: accessGranule stamps lines with a direct conversion.
-func TestMESIStateCorrespondence(t *testing.T) {
-	pairs := []struct {
-		dir coherence.State
-		ln  cache.MESI
-	}{
-		{coherence.Invalid, cache.MESIInvalid},
-		{coherence.Shared, cache.MESIShared},
-		{coherence.Exclusive, cache.MESIExclusive},
-		{coherence.Modified, cache.MESIModified},
-	}
-	for _, p := range pairs {
-		if cache.MESI(p.dir) != p.ln {
-			t.Fatalf("coherence.%v != cache.%v", p.dir, p.ln)
-		}
-	}
-}
-
 func TestTopologySharedMemory(t *testing.T) {
 	tp := NewTopology(smallTopology(2))
 	tp.Arena.AlignBrk(8)
@@ -156,8 +206,8 @@ func TestTopologyCoherenceFlow(t *testing.T) {
 	if st := tp.Directory().State(0, a); st != coherence.Modified {
 		t.Fatalf("writer state %v, want M", st)
 	}
-	if st := tp.PrivateCache(0).BlockState(0, a); st != cache.MESIModified {
-		t.Fatalf("writer line stamp %v, want M", st)
+	if !tp.PrivateCache(0).Contains(0, a) {
+		t.Fatal("writer's L1 does not hold the line")
 	}
 
 	// Core 1 reads: forced writeback, both Shared.
@@ -167,8 +217,11 @@ func TestTopologyCoherenceFlow(t *testing.T) {
 	if st := tp.Directory().State(0, a); st != coherence.Shared {
 		t.Fatalf("post-read writer state %v, want S", st)
 	}
-	if st := tp.PrivateCache(0).BlockState(0, a); st != cache.MESIShared {
-		t.Fatalf("post-read writer line stamp %v, want S", st)
+	if st := tp.Directory().State(1, a); st != coherence.Shared {
+		t.Fatalf("reader state %v, want S", st)
+	}
+	if !tp.PrivateCache(0).Contains(0, a) {
+		t.Fatal("downgrade dropped the writer's copy")
 	}
 	if tp.Directory().Stats().ForcedWritebacks != 1 {
 		t.Fatalf("forced writebacks %d, want 1", tp.Directory().Stats().ForcedWritebacks)

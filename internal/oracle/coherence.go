@@ -18,7 +18,6 @@
 package oracle
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -53,8 +52,7 @@ func (o *Oracle) invalidate(addr memsys.Addr, span int64) (valid, dirty bool) {
 
 // downgrade demotes every copy of [addr, addr+span) to clean,
 // reporting whether any was dirty — the reference twin of
-// cache.Hierarchy.Downgrade (the MESI stamp is production-side
-// introspection state the reference does not carry).
+// cache.Hierarchy.Downgrade.
 func (o *Oracle) downgrade(addr memsys.Addr, span int64) (dirty bool) {
 	for _, l := range o.levels {
 		first := int64(addr) / l.cfg.BlockSize
@@ -495,41 +493,4 @@ func TopologyRecords(rng *rand.Rand, cores, n, il int) []trace.Record {
 		})
 	}
 	return recs
-}
-
-// TopologySweepCell builds cell (g, il) of the coherence sweep from an
-// rng derived only from (seed, g, il): cells are independent and
-// reproducible in any order, like SweepTrace.
-func TopologySweepCell(seed int64, g, il, n int) (machine.TopologyConfig, []trace.Record) {
-	rng := rand.New(rand.NewSource(seed + int64(g)*0x9e3779b9 + int64(il)*0x85ebca6b))
-	cfg := RandomTopology(rng)
-	return cfg, TopologyRecords(rng, cfg.Cores, n, il)
-}
-
-// DiffTopologyBytes derives a topology and an interleaved stream from
-// raw fuzz input and diffs the two machines. The first four bytes seed
-// the geometry; every following byte is one access whose high bits
-// pick the core — the fuzzer explores interleavings directly. Inputs
-// too short to name a geometry report nil.
-func DiffTopologyBytes(data []byte) *Divergence {
-	if len(data) < 5 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint32(data))))
-	cfg := RandomTopology(rng)
-	sched := data[4:]
-	recs := make([]trace.Record, 0, len(sched))
-	for i, b := range sched {
-		r := trace.Record{
-			Kind: trace.Load,
-			Core: int(b>>5) % cfg.Cores,
-			Addr: memsys.Addr((int64(b&0x1f)*67 + int64(i)*13) % (2 << 10)),
-			Size: 1 + int64(b%16),
-		}
-		if b&1 == 1 {
-			r.Kind = trace.Store
-		}
-		recs = append(recs, r)
-	}
-	return DiffTopology(cfg, recs)
 }

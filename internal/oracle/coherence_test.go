@@ -82,7 +82,7 @@ func TestCoherenceDifferentialSweep(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for c := range cells {
-				cfg, recs := TopologySweepCell(0xC0FFEE, c.g, c.il, recsPer)
+				cfg, recs := topologySweepCell(0xC0FFEE, c.g, c.il, recsPer)
 				d := DiffTopology(cfg, recs)
 				mu.Lock()
 				total += len(recs)
@@ -118,11 +118,20 @@ func itoa(n int) string {
 	return string(b)
 }
 
+// topologySweepCell builds cell (g, il) of the coherence sweep from an
+// rng derived only from (seed, g, il): cells are independent and
+// reproducible in any order, like SweepTrace.
+func topologySweepCell(seed int64, g, il, n int) (machine.TopologyConfig, []trace.Record) {
+	rng := rand.New(rand.NewSource(seed + int64(g)*0x9e3779b9 + int64(il)*0x85ebca6b))
+	cfg := RandomTopology(rng)
+	return cfg, TopologyRecords(rng, cfg.Cores, n, il)
+}
+
 // The sweep constructor must be deterministic and order-independent.
 func TestTopologySweepCellDeterministic(t *testing.T) {
-	c1, r1 := TopologySweepCell(7, 3, 1, 100)
-	_, _ = TopologySweepCell(7, 0, 0, 100) // unrelated cell in between
-	c2, r2 := TopologySweepCell(7, 3, 1, 100)
+	c1, r1 := topologySweepCell(7, 3, 1, 100)
+	_, _ = topologySweepCell(7, 0, 0, 100) // unrelated cell in between
+	c2, r2 := topologySweepCell(7, 3, 1, 100)
 	if c1.Cores != c2.Cores || len(r1) != len(r2) {
 		t.Fatal("sweep cell not deterministic")
 	}

@@ -1,7 +1,12 @@
 package oracle
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"testing"
+
+	"ccl/internal/memsys"
+	"ccl/internal/trace"
 )
 
 // FuzzDifferential feeds arbitrary bytes through the fuzz-input
@@ -28,7 +33,7 @@ func FuzzCoherenceDifferential(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 0, 0x01, 0x21, 0x01, 0x21, 0x01, 0x21, 0x01, 0x21})
 	f.Add([]byte{3, 1, 4, 1, 0x10, 0x9f, 0x33, 0xe1, 0x55, 0x7a, 0x02, 0xbd, 0x44, 0xc8})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if d := DiffTopologyBytes(data); d != nil {
+		if d := diffTopologyBytes(data); d != nil {
 			t.Fatal(d)
 		}
 	})
@@ -47,4 +52,32 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatal(d)
 		}
 	})
+}
+
+// diffTopologyBytes derives a topology and an interleaved stream from
+// raw fuzz input and diffs the two machines. The first four bytes seed
+// the geometry; every following byte is one access whose high bits
+// pick the core — the fuzzer explores interleavings directly. Inputs
+// too short to name a geometry report nil.
+func diffTopologyBytes(data []byte) *Divergence {
+	if len(data) < 5 {
+		return nil
+	}
+	rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint32(data))))
+	cfg := RandomTopology(rng)
+	sched := data[4:]
+	recs := make([]trace.Record, 0, len(sched))
+	for i, b := range sched {
+		r := trace.Record{
+			Kind: trace.Load,
+			Core: int(b>>5) % cfg.Cores,
+			Addr: memsys.Addr((int64(b&0x1f)*67 + int64(i)*13) % (2 << 10)),
+			Size: 1 + int64(b%16),
+		}
+		if b&1 == 1 {
+			r.Kind = trace.Store
+		}
+		recs = append(recs, r)
+	}
+	return DiffTopology(cfg, recs)
 }

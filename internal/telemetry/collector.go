@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"ccl/internal/cache"
+	"ccl/internal/flat"
 	"ccl/internal/memsys"
 )
 
@@ -164,83 +165,12 @@ func (s *lruSet) pushFront(slot int32) {
 	s.head = slot
 }
 
-// pageShift sizes a bitset page at 2^15 bits (4 KiB).
-const pageShift = 15
-
-type bitPage [1 << pageShift / 64]uint64
-
-// bitset is a set of int64 keys held as a paged bitmap: key k lives in
-// page k>>pageShift, allocated when one of its keys is first set. A
-// set over keys spanning n consecutive values costs about n/8 bytes
-// however often they recur, and a one-page memo skips the directory
-// lookup while accesses stay within a page.
-type bitset struct {
-	pages    map[int64]*bitPage // nil until the first set
-	lastPage int64
-	last     *bitPage // memo: page lastPage, nil before any lookup hit
-}
-
-// page returns the page holding key, allocating it when alloc is set;
-// it returns nil for an absent page when alloc is clear.
-func (b *bitset) page(key int64, alloc bool) *bitPage {
-	pn := key >> pageShift
-	if b.last != nil && b.lastPage == pn {
-		return b.last
-	}
-	p := b.pages[pn]
-	if p == nil {
-		if !alloc {
-			return nil
-		}
-		if b.pages == nil {
-			b.pages = map[int64]*bitPage{}
-		}
-		p = new(bitPage)
-		b.pages[pn] = p
-	}
-	b.lastPage, b.last = pn, p
-	return p
-}
-
-// bit splits key into its page word and the mask within that word.
-func bit(key int64) (word int, mask uint64) {
-	i := uint64(key) & (1<<pageShift - 1)
-	return int(i >> 6), 1 << (i & 63)
-}
-
-// testAndSet adds key and reports whether it was already present.
-func (b *bitset) testAndSet(key int64) bool {
-	p := b.page(key, true)
-	w, m := bit(key)
-	old := p[w]&m != 0
-	p[w] |= m
-	return old
-}
-
-func (b *bitset) test(key int64) bool {
-	p := b.page(key, false)
-	if p == nil {
-		return false
-	}
-	w, m := bit(key)
-	return p[w]&m != 0
-}
-
-func (b *bitset) set(key int64) { b.testAndSet(key) }
-
-func (b *bitset) clear(key int64) {
-	if p := b.page(key, false); p != nil {
-		w, m := bit(key)
-		p[w] &^= m
-	}
-}
-
 // levelTel is one cache level's telemetry state.
 type levelTel struct {
 	name       string
-	blockShift uint    // log2(BlockSize); block sizes are validated powers of two
-	shadow     *lruSet // same capacity, fully associative
-	seen       bitset  // blocks ever referenced at this level
+	blockShift uint      // log2(BlockSize); block sizes are validated powers of two
+	shadow     *lruSet   // same capacity, fully associative
+	seen       flat.Bits // blocks ever referenced at this level
 
 	accesses      int64
 	hits          int64
@@ -286,7 +216,7 @@ type Collector struct {
 	// granule classifies as Coherence instead of consulting the
 	// shadow caches; the mark is then consumed. A set with no page
 	// (the default) is the single-core case, tested once per access.
-	inval    bitset
+	inval    flat.Bits
 	cohShift uint
 }
 
@@ -364,8 +294,8 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 	// the block is gone because a remote store took it, whatever the
 	// shadow caches think. Consumed below once any level misses.
 	coherent := false
-	if c.inval.pages != nil { // no mark ever: every single-core run
-		coherent = c.inval.test(int64(addr) >> c.cohShift)
+	if !c.inval.Empty() { // no mark ever: every single-core run
+		coherent = c.inval.Test(int64(addr) >> c.cohShift)
 	}
 	consumed := false
 	for i, lt := range c.levels {
@@ -374,7 +304,7 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 		}
 		lt.accesses++
 		blk := int64(addr >> lt.blockShift)
-		seen := lt.seen.testAndSet(blk)
+		seen := lt.seen.TestAndSet(blk)
 		resident := lt.shadow.touch(blk)
 		missed := i != hitLevel
 		var cls MissClass
@@ -404,7 +334,7 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 		}
 	}
 	if consumed {
-		c.inval.clear(int64(addr) >> c.cohShift)
+		c.inval.Clear(int64(addr) >> c.cohShift)
 	}
 }
 
@@ -440,10 +370,10 @@ func (c *Collector) LastLLMissClass() (MissClass, bool) { return c.lastCls, c.la
 // the directory's per-core invalidation hooks; span is the coherence
 // granule (a power of two) and is fixed on first call.
 func (c *Collector) MarkInvalidated(addr memsys.Addr, span int64) {
-	if c.inval.pages == nil {
+	if c.inval.Empty() {
 		c.cohShift = uint(bits.TrailingZeros64(uint64(span)))
 	}
-	c.inval.set(int64(addr) >> c.cohShift)
+	c.inval.Set(int64(addr) >> c.cohShift)
 	c.regions.find(addr).invalidations++
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -161,6 +162,48 @@ func TestRegionMultiRange(t *testing.T) {
 	if got := m.region("seg").Bytes(); got != 128 {
 		t.Errorf("seg bytes = %d, want 128", got)
 	}
+}
+
+// RegisterElems sorts the caller's addresses in place and registers
+// one element range per address; EachFieldMap yields exactly the
+// regions given a field map, in registration order.
+func TestRegionElemsAndFieldMaps(t *testing.T) {
+	m := NewRegionMap(1)
+	addrs := []memsys.Addr{0x3000, 0x1000, 0x2000}
+	m.RegisterElems("node", addrs, 32)
+	if !sort.SliceIsSorted(addrs, func(i, j int) bool { return addrs[i] < addrs[j] }) {
+		t.Errorf("RegisterElems left addrs unsorted: %v", addrs)
+	}
+	for _, a := range addrs {
+		if r, off := m.Resolve(a.Add(8)); r.Label() != "node" || off != 8 {
+			t.Errorf("Resolve(%v+8) = (%q, %d), want (node, 8)", a, r.Label(), off)
+		}
+	}
+	if r, off := m.Resolve(0x1020); r.Label() != OtherLabel || off != -1 {
+		t.Errorf("Resolve(0x1020) = (%q, %d), want (%q, -1)", r.Label(), off, OtherLabel)
+	}
+	if got := m.region("node").Bytes(); got != 96 {
+		t.Errorf("node bytes = %d, want 96", got)
+	}
+
+	m.Register("plain", 0x8000, 64)
+	fm := layout.MustFieldMap("pair", 16, layout.Field{Name: "a", Size: 8}, layout.Field{Name: "b", Offset: 8, Size: 8})
+	m.SetFieldMap("node", fm)
+	m.SetFieldMap("late", fm)
+	var got []string
+	m.EachFieldMap(func(label string, f *layout.FieldMap) {
+		got = append(got, label+"/"+f.Struct)
+	})
+	if want := []string{"node/pair", "late/pair"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("EachFieldMap yielded %v, want %v", got, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register with size 0 did not panic")
+		}
+	}()
+	m.Register("empty", 0x9000, 0)
 }
 
 func TestHeatmapCountsAndRender(t *testing.T) {
