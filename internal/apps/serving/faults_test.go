@@ -187,3 +187,81 @@ func TestLRUFaultSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckInvariantsReportsCorruption corrupts one header of each
+// structure through uncharged arena stores (a KV slot's state word,
+// the LRU list's tail pointer, the PQueue root's priority) and
+// requires CheckInvariants to fail with a corrupt-structure error
+// that cclerr classifies as such.
+func TestCheckInvariantsReportsCorruption(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(t *testing.T, m *machine.Machine) (check func() error, corrupt func())
+	}{
+		{"kv slot state", func(t *testing.T, m *machine.Machine) (func() error, func()) {
+			kv, err := NewKV(m, KVConfig{Layout: KVSplit, Placement: KVMalloc, Slots: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint32(1); k <= 4; k++ {
+				if err := kv.Put(k, valueFor(k, 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return kv.CheckInvariants, func() {
+				ArenaMem(kv.arena).StoreInt(kv.headerAddr(&kv.tab, 0), kvHeader(9, 3)) // no such state
+			}
+		}},
+		{"lru tail pointer", func(t *testing.T, m *machine.Machine) (func() error, func()) {
+			c, err := NewLRU(m, LRUConfig{Capacity: 4, Placement: LRUMalloc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint32(1); k <= 3; k++ {
+				if err := c.Put(k, int64(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return c.CheckInvariants, func() {
+				w := ArenaMem(c.arena)
+				w.StoreAddr(c.hdr.Add(4), w.LoadAddr(c.hdr)) // tail := head
+			}
+		}},
+		{"pqueue root priority", func(t *testing.T, m *machine.Machine) (func() error, func()) {
+			q, err := NewPQueue(m, PQConfig{Arity: 4, Cap: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := int64(1); p <= 5; p++ {
+				if err := q.Push(p, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return q.CheckInvariants, func() {
+				ArenaMem(q.arena).StoreInt(q.elem(0).Add(pqOffPri), 1<<40)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := machine.NewScaled(16)
+			check, corrupt := tc.build(t, m)
+			if err := check(); err != nil {
+				t.Fatalf("intact structure failed its check: %v", err)
+			}
+			before := m.Stats()
+			corrupt()
+			err := check()
+			if !errors.Is(err, cclerr.ErrCorruptStructure) {
+				t.Fatalf("CheckInvariants after corruption = %v, want ErrCorruptStructure", err)
+			}
+			if got := cclerr.Class(err); got != "corrupt-structure" {
+				t.Fatalf("cclerr.Class = %q, want corrupt-structure", got)
+			}
+			if after := m.Stats(); after.TotalCycles() != before.TotalCycles() {
+				t.Fatalf("corruption or check charged the cache: %d -> %d cycles",
+					before.TotalCycles(), after.TotalCycles())
+			}
+		})
+	}
+}

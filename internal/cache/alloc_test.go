@@ -10,7 +10,8 @@ import (
 // demand access never allocates, on any of the named hierarchies. The
 // access pattern mixes block-spanning loads and stores across a window
 // larger than every cache so hits, misses, evictions, TLB misses, and
-// the split path are all exercised.
+// the split path are all exercised. Flush, which a run may call
+// between phases, allocates nothing either.
 func TestAccessNoAllocs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,6 +33,10 @@ func TestAccessNoAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Fatalf("Access allocated %v times per run, want 0", allocs)
+			}
+			// Flush empties the levels and the TLB in place.
+			if n := testing.AllocsPerRun(10, h.Flush); n != 0 {
+				t.Fatalf("Flush allocated %v times per run, want 0", n)
 			}
 		})
 	}

@@ -18,8 +18,9 @@
 // experiment's every load and store funnels through Access), so it is
 // engineered to be allocation-free: set/way state lives in one
 // contiguous line slice per level indexed arithmetically, block and
-// set arithmetic uses precomputed shifts and masks, the data TLB is an
-// array (tlb.go) rather than a map, spanning accesses split without
+// set arithmetic uses precomputed shifts and masks, the data TLB is one
+// fully-associative LRU set with an O(1) hashed probe (tlb.go, on
+// flat.LRU) rather than a map or a scan, spanning accesses split without
 // building a slice, and the nil-observer path costs one predictable
 // pointer test per event site. TestAccessNoAllocs pins the zero-alloc
 // property; the differential oracle (internal/oracle) pins that none
@@ -109,8 +110,8 @@ type Config struct {
 	// which — like all sequential prefetchers — is of limited use
 	// to pointer-chasing programs (§1); see DESIGN.md §1.
 	HWPrefetch bool
-	// TLB models an array-backed, LRU data TLB when Entries is
-	// positive (fully associative by default; see TLBConfig.Ways).
+	// TLB models a fully-associative LRU data TLB when Entries is
+	// positive.
 	// The paper's placement techniques explicitly trade on page
 	// locality ("putting the items on the same page is likely to
 	// reduce the program's working set, and improve TLB
@@ -419,7 +420,7 @@ type Hierarchy struct {
 	// construction so the access path never allocates.
 	probes []probe
 
-	// tlb is the array-backed data TLB, nil when disabled (tlb.go).
+	// tlb is the data TLB, nil when disabled (tlb.go).
 	tlb *tlb
 }
 
@@ -495,7 +496,7 @@ func (h *Hierarchy) ResetStats() {
 // Flush invalidates every block in every level and clears the TLB.
 func (h *Hierarchy) Flush() {
 	if h.tlb != nil {
-		h.tlb.reset()
+		h.tlb.pages.Reset()
 	}
 	for i := range h.levels {
 		l := &h.levels[i]
@@ -558,12 +559,10 @@ func (h *Hierarchy) Access(addr memsys.Addr, size int64, kind AccessKind) int64 
 func (h *Hierarchy) tlbCharge(addr memsys.Addr) int64 {
 	t := h.tlb
 	h.stats.TLBAccesses++
-	page := t.pageOf(addr)
-	if t.touch(page, h.now) {
+	if t.pages.Touch(t.pageOf(addr)) {
 		return 0
 	}
 	h.stats.TLBMisses++
-	t.insert(page, h.now)
 	return t.penalty
 }
 
@@ -788,10 +787,10 @@ func (h *Hierarchy) prefetchCapped(addr memsys.Addr, cost int64, robCapped bool)
 	h.now += cost
 
 	// Prefetches that miss the TLB are dropped, as real hardware
-	// drops them rather than taking a translation fault. The probe
+	// drops them rather than taking a translation fault. The check
 	// does not refresh the page's recency: a dropped prefetch is
 	// invisible to the translation hardware.
-	if h.tlb != nil && h.tlb.probe(h.tlb.pageOf(addr)) < 0 {
+	if h.tlb != nil && !h.tlb.pages.Contains(h.tlb.pageOf(addr)) {
 		return cost
 	}
 

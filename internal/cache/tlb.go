@@ -4,20 +4,16 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ccl/internal/flat"
 	"ccl/internal/memsys"
 )
 
-// TLBConfig describes the data TLB. Zero Entries disables it.
+// TLBConfig describes the data TLB, which is fully associative, like
+// the UltraSPARC-I's 64-entry dTLB. Zero Entries disables it.
 type TLBConfig struct {
 	Entries  int   // total entry count
 	PageSize int64 // bytes mapped per entry
 	Penalty  int64 // cycles per miss (software/table walk)
-	// Ways selects the associativity of the array TLB: entries per
-	// set, with Entries/Ways sets indexed by page number. Zero (the
-	// default, and what every named hierarchy uses) selects full
-	// associativity — one set of Entries ways — which matches real
-	// dTLBs like the UltraSPARC-I's 64-entry fully-associative one.
-	Ways int
 }
 
 // validate reports a TLB configuration error, if any. Called by New
@@ -26,72 +22,38 @@ func (c TLBConfig) validate() error {
 	if c.PageSize <= 0 || c.Penalty < 0 {
 		return fmt.Errorf("cache: TLB needs a positive page size and non-negative penalty")
 	}
-	if c.Ways < 0 || c.Ways > c.Entries || (c.Ways > 0 && c.Entries%c.Ways != 0) {
-		return fmt.Errorf("cache: TLB ways %d must divide entries %d", c.Ways, c.Entries)
-	}
 	return nil
 }
 
-// tlb is the data TLB: a set-associative array with per-set LRU
-// replacement, laid out as two parallel slices (page numbers and
-// recency stamps) indexed set*ways+way. It replaces the seed's
-// map[int64]int64, whose every hit paid a hash, a probe, and a map
-// write to refresh the stamp; here a hit is a short scan of a
-// contiguous page-number row and one stamp store, and the structure
-// never allocates after construction.
+// tlb is the data TLB: one fully-associative LRU set of page numbers
+// (flat.LRU), so a hit or a miss costs one hash probe however many
+// entries the TLB has. A miss evicts the least recently touched page.
 //
-// Replacement is exact LRU within a set, ties broken toward the lowest
-// slot. For a fully-associative geometry (Ways == 0) this reproduces
-// the map implementation's evict-the-minimum-stamp behaviour — and is
-// deterministic where the map's tie-break depended on iteration order.
+// That is also the page with the smallest h.now at its last touch,
+// the order FuzzTLB checks against: every access advances h.now by at
+// least the L1 latency, which is at least one cycle on every shipped
+// geometry, so those stamps strictly increase. With a 0-cycle L1 two
+// touches can share a cycle; touch order is then the defined order.
 type tlb struct {
 	penalty int64
 
 	pageShift uint  // log2(PageSize) when PageSize is a power of two
 	pageSize  int64 // divisor for the general path; 0 selects the shift path
 
-	sets    int64
-	ways    int64
-	setMask int64 // sets-1 when sets is a power of two, else -1
-
-	pages  []int64 // sets*ways page numbers; -1 marks an empty slot
-	stamps []int64 // parallel recency stamps (h.now at last touch)
+	pages flat.LRU
 }
 
-// newTLB builds the array TLB for a validated config with positive
-// Entries.
+// newTLB builds the TLB for a validated config with positive Entries.
+// Its arrays are sized here, in two allocations, so the access path
+// never allocates.
 func newTLB(cfg TLBConfig) *tlb {
-	ways := int64(cfg.Entries)
-	if cfg.Ways > 0 {
-		ways = int64(cfg.Ways)
-	}
-	sets := int64(cfg.Entries) / ways
-	t := &tlb{
-		penalty:  cfg.Penalty,
-		pageSize: cfg.PageSize,
-		sets:     sets,
-		ways:     ways,
-		setMask:  -1,
-		pages:    make([]int64, sets*ways),
-		stamps:   make([]int64, sets*ways),
-	}
+	t := &tlb{penalty: cfg.Penalty, pageSize: cfg.PageSize}
 	if cfg.PageSize&(cfg.PageSize-1) == 0 {
 		t.pageShift = uint(bits.TrailingZeros64(uint64(cfg.PageSize)))
 		t.pageSize = 0
 	}
-	if sets&(sets-1) == 0 {
-		t.setMask = sets - 1
-	}
-	t.reset()
+	t.pages.Reserve(cfg.Entries)
 	return t
-}
-
-// reset empties every slot without reallocating.
-func (t *tlb) reset() {
-	for i := range t.pages {
-		t.pages[i] = -1
-		t.stamps[i] = 0
-	}
 }
 
 // pageOf returns addr's page number.
@@ -100,64 +62,4 @@ func (t *tlb) pageOf(addr memsys.Addr) int64 {
 		return int64(addr) >> t.pageShift
 	}
 	return int64(addr) / t.pageSize
-}
-
-// setBase returns the first slot index of page's set.
-func (t *tlb) setBase(page int64) int64 {
-	if t.setMask >= 0 {
-		return (page & t.setMask) * t.ways
-	}
-	return (page % t.sets) * t.ways
-}
-
-// probe returns the slot holding page, or -1, without refreshing its
-// recency — the prefetch-drop check must not disturb LRU order.
-func (t *tlb) probe(page int64) int64 {
-	base := t.setBase(page)
-	for w := int64(0); w < t.ways; w++ {
-		if t.pages[base+w] == page {
-			return base + w
-		}
-	}
-	return -1
-}
-
-// touch reports whether page is mapped, refreshing its recency stamp
-// on a hit. Hits are swapped to the front of their set so a page in
-// steady use is found on the first compare; the stamps travel with the
-// pages, so eviction order is unaffected by the physical shuffle.
-func (t *tlb) touch(page, now int64) bool {
-	base := t.setBase(page)
-	for w := int64(0); w < t.ways; w++ {
-		slot := base + w
-		if t.pages[slot] == page {
-			t.stamps[slot] = now
-			if slot != base {
-				t.pages[slot] = t.pages[base]
-				t.pages[base] = page
-				t.stamps[slot], t.stamps[base] = t.stamps[base], now
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// insert maps page, evicting the set's LRU entry (lowest slot on a
-// stamp tie) when no slot is free.
-func (t *tlb) insert(page, now int64) {
-	base := t.setBase(page)
-	victim := base
-	for w := int64(0); w < t.ways; w++ {
-		slot := base + w
-		if t.pages[slot] < 0 {
-			victim = slot
-			break
-		}
-		if t.stamps[slot] < t.stamps[victim] {
-			victim = slot
-		}
-	}
-	t.pages[victim] = page
-	t.stamps[victim] = now
 }

@@ -1,10 +1,12 @@
 // Package flat holds the simulator's dense per-key state: one paged
-// table keyed by int64, and a bitset built on it. Both replace
-// per-key Go maps, whose entries cost tens of bytes each and never
-// shrink, with pages of fixed-width entries that cost the entry width
-// however long a run streams new keys. The collector's seen sets and
-// coherence marks (internal/telemetry) and the MESI directory
-// (internal/coherence) all store their state here.
+// table keyed by int64, a bitset built on it, and one fully-associative
+// LRU set. The table and bitset replace per-key Go maps, whose entries
+// cost tens of bytes each and never shrink, with pages of fixed-width
+// entries that cost the entry width however long a run streams new
+// keys; the LRU replaces linear scans with one hashed probe. The
+// collector's seen sets, coherence marks and shadow caches
+// (internal/telemetry), the MESI directory (internal/coherence) and
+// the data TLB (internal/cache) all store their state here.
 package flat
 
 // PageLen is the number of entries in one table page. Pages are short

@@ -130,14 +130,3 @@ func sideBySide(got, want []Event) string {
 	}
 	return b.String()
 }
-
-// DiffBytes derives a trace from raw fuzz input and diffs it. It
-// reports nil for inputs too short to name a geometry, so fuzz targets
-// can call it directly.
-func DiffBytes(data []byte) *Divergence {
-	tr, ok := trace.FromBytes(data)
-	if !ok {
-		return nil
-	}
-	return Diff(tr)
-}

@@ -48,10 +48,20 @@ func FuzzDifferential(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 8, 15})
 	f.Add([]byte{2, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 254, 1, 2, 3, 4, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if d := DiffBytes(data); d != nil {
+		if d := diffBytes(data); d != nil {
 			t.Fatal(d)
 		}
 	})
+}
+
+// diffBytes derives a trace from raw fuzz input and diffs it. It
+// reports nil for inputs too short to name a geometry.
+func diffBytes(data []byte) *Divergence {
+	tr, ok := trace.FromBytes(data)
+	if !ok {
+		return nil
+	}
+	return Diff(tr)
 }
 
 // diffTopologyBytes derives a topology and an interleaved stream from

@@ -8,168 +8,11 @@ import (
 	"ccl/internal/memsys"
 )
 
-// lruSet is a fixed-capacity fully-associative LRU set over block
-// numbers: the shadow cache the 3C classifier compares the real
-// (set-indexed) cache against. Entries live in parallel slot arrays,
-// linked into a recency list by slot number and found through an
-// open-addressing index, so touch is O(1). The arrays grow with the
-// resident count until the set is full; from then on touch recycles
-// the LRU slot and allocates nothing.
-type lruSet struct {
-	capacity   int
-	block      []int64 // slot -> resident block; slots fill in order, then recycle
-	prev, next []int32 // recency links between slots; -1 ends the list
-	head, tail int32   // most / least recently used slot; -1 when empty
-
-	// index maps block -> slot by linear probing over a power-of-two
-	// table at most a quarter full, which keeps probe runs short, and
-	// deletes by backward shift so no tombstones accumulate under churn.
-	index []lruBucket
-	shift uint // 64 - log2(len(index)): the hash keeps the product's top bits
-}
-
-// lruBucket is one index bucket. The block sits beside its slot so a
-// probe reads one line; ref is slot+1, so the zero bucket is empty.
-type lruBucket struct {
-	block int64
-	ref   int32
-}
-
-func newLRUSet(capacity int) *lruSet {
-	if capacity < 1 {
-		capacity = 1
-	}
-	// Start with four buckets (shift 64-2); touch doubles the index as
-	// blocks arrive, so a shadow that never fills stays small.
-	return &lruSet{capacity: capacity, head: -1, tail: -1, index: make([]lruBucket, 4), shift: 62}
-}
-
-// grow doubles the index and reinserts every resident block.
-func (s *lruSet) grow() {
-	s.index = make([]lruBucket, 2*len(s.index))
-	s.shift--
-	for slot, b := range s.block {
-		i, _ := s.find(b)
-		s.index[i] = lruBucket{block: b, ref: int32(slot) + 1}
-	}
-}
-
-// home is block's first index bucket: a Fibonacci hash, whose top bits
-// mix every bit of the block number.
-func (s *lruSet) home(block int64) uint64 {
-	return uint64(block) * 0x9e3779b97f4a7c15 >> s.shift
-}
-
-// find returns the bucket holding block, or the empty bucket that
-// ended its probe run when block is absent.
-func (s *lruSet) find(block int64) (uint64, bool) {
-	mask := uint64(len(s.index) - 1)
-	for i := s.home(block); ; i = (i + 1) & mask {
-		b := &s.index[i]
-		if b.ref == 0 {
-			return i, false
-		}
-		if b.block == block {
-			return i, true
-		}
-	}
-}
-
-// remove empties bucket i by backward-shift deletion: each later
-// entry of the probe run whose home lies at or before the hole moves
-// back into it, so lookups never need a tombstone. It returns the
-// empty bucket that ended the run.
-func (s *lruSet) remove(i uint64) uint64 {
-	mask := uint64(len(s.index) - 1)
-	for j := (i + 1) & mask; ; j = (j + 1) & mask {
-		b := s.index[j]
-		if b.ref == 0 {
-			s.index[i] = lruBucket{}
-			return j
-		}
-		if (j-s.home(b.block))&mask >= (j-i)&mask {
-			s.index[i] = b
-			i = j
-		}
-	}
-}
-
-func (s *lruSet) contains(block int64) bool {
-	_, ok := s.find(block)
-	return ok
-}
-
-// touch makes block the most recently used entry, inserting it (and
-// evicting the LRU entry if full) when absent. It reports whether
-// block was resident before the call.
-func (s *lruSet) touch(block int64) bool {
-	if s.head >= 0 && s.block[s.head] == block {
-		// Already MRU, the common case on pointer walks: a node's key
-		// load and its child-pointer load share a block.
-		return true
-	}
-	pos, ok := s.find(block)
-	if ok {
-		slot := s.index[pos].ref - 1
-		s.unlink(slot)
-		s.pushFront(slot)
-		return true
-	}
-	slot := int32(len(s.block))
-	if len(s.block) < s.capacity {
-		s.block = append(s.block, block)
-		s.prev = append(s.prev, 0)
-		s.next = append(s.next, 0)
-	} else {
-		// Recycle the LRU slot. Its deletion shifts only its own probe
-		// run; pos, where block's probe stopped, moves only if that run
-		// is block's run too.
-		slot = s.tail
-		s.unlink(slot)
-		victim, _ := s.find(s.block[slot])
-		if s.remove(victim) == pos {
-			pos, _ = s.find(block)
-		}
-	}
-	s.block[slot] = block
-	s.index[pos] = lruBucket{block: block, ref: slot + 1}
-	s.pushFront(slot)
-	if 4*len(s.block) > len(s.index) {
-		s.grow()
-	}
-	return false
-}
-
-func (s *lruSet) unlink(slot int32) {
-	p, n := s.prev[slot], s.next[slot]
-	if p >= 0 {
-		s.next[p] = n
-	} else {
-		s.head = n
-	}
-	if n >= 0 {
-		s.prev[n] = p
-	} else {
-		s.tail = p
-	}
-}
-
-func (s *lruSet) pushFront(slot int32) {
-	s.prev[slot] = -1
-	s.next[slot] = s.head
-	if s.head >= 0 {
-		s.prev[s.head] = slot
-	} else {
-		s.tail = slot
-	}
-	s.head = slot
-}
-
 // levelTel is one cache level's telemetry state.
 type levelTel struct {
 	name       string
 	blockShift uint      // log2(BlockSize); block sizes are validated powers of two
-	shadow     *lruSet   // same capacity, fully associative
+	shadow     *flat.LRU // same capacity, fully associative
 	seen       flat.Bits // blocks ever referenced at this level
 
 	accesses      int64
@@ -230,7 +73,7 @@ func NewCollector(cfg cache.Config) *Collector {
 		c.levels = append(c.levels, &levelTel{
 			name:       lc.Name,
 			blockShift: uint(bits.TrailingZeros64(uint64(lc.BlockSize))),
-			shadow:     newLRUSet(int(lc.Size / lc.BlockSize)),
+			shadow:     flat.NewLRU(int(lc.Size / lc.BlockSize)),
 		})
 	}
 	last := cfg.Levels[len(cfg.Levels)-1]
@@ -305,7 +148,7 @@ func (c *Collector) OnAccess(addr memsys.Addr, kind cache.AccessKind, hitLevel i
 		lt.accesses++
 		blk := int64(addr >> lt.blockShift)
 		seen := lt.seen.TestAndSet(blk)
-		resident := lt.shadow.touch(blk)
+		resident := lt.shadow.Touch(blk)
 		missed := i != hitLevel
 		var cls MissClass
 		if missed {

@@ -46,6 +46,7 @@ const OtherLabel = "(other)"
 type RegionMap struct {
 	levels  int
 	sorted  []entry // by Start, non-overlapping
+	last    int     // memo: index in sorted of the last range hit, -1 for none
 	byLabel map[string]*Region
 	order   []*Region // registration order, for stable reports
 	other   *Region
@@ -59,7 +60,7 @@ type entry struct {
 // NewRegionMap returns an empty map for a hierarchy with the given
 // number of cache levels.
 func NewRegionMap(levels int) *RegionMap {
-	m := &RegionMap{levels: levels, byLabel: map[string]*Region{}}
+	m := &RegionMap{levels: levels, last: -1, byLabel: map[string]*Region{}}
 	m.other = m.region(OtherLabel)
 	return m
 }
@@ -106,6 +107,7 @@ func (m *RegionMap) RegisterRange(label string, rng memsys.AddrRange) {
 	m.sorted = append(m.sorted, entry{})
 	copy(m.sorted[i+1:], m.sorted[i:])
 	m.sorted[i] = entry{r: rng, reg: reg}
+	m.last = -1 // the insert shifted the indices after i
 }
 
 // RegisterElems registers one size-byte range per address under
@@ -145,11 +147,26 @@ func (m *RegionMap) EachFieldMap(f func(label string, fm *layout.FieldMap)) {
 	}
 }
 
+// lookup returns the index in sorted of the range containing addr,
+// or -1. It tries the range the previous lookup hit before the binary
+// search: a walk loads several fields of one element in a row, and a
+// profiler resolves the address its collector has just charged.
+func (m *RegionMap) lookup(addr memsys.Addr) int {
+	if m.last >= 0 && m.sorted[m.last].r.Contains(addr) {
+		return m.last
+	}
+	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].r.End > addr })
+	if i < len(m.sorted) && m.sorted[i].r.Contains(addr) {
+		m.last = i
+		return i
+	}
+	return -1
+}
+
 // find returns the region charged for addr: the registered range
 // containing it, or the implicit "(other)" bucket.
 func (m *RegionMap) find(addr memsys.Addr) *Region {
-	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].r.End > addr })
-	if i < len(m.sorted) && m.sorted[i].r.Contains(addr) {
+	if i := m.lookup(addr); i >= 0 {
 		return m.sorted[i].reg
 	}
 	return m.other
@@ -160,10 +177,9 @@ func (m *RegionMap) find(addr memsys.Addr) *Region {
 // quantity a field map reduces to a member offset. Unregistered
 // addresses resolve to the implicit "(other)" bucket with offset -1.
 // The profiler's sampled path is the intended caller; the lookup is
-// one binary search over the sorted ranges.
+// find's: the last range hit, then a binary search.
 func (m *RegionMap) Resolve(addr memsys.Addr) (*Region, int64) {
-	i := sort.Search(len(m.sorted), func(i int) bool { return m.sorted[i].r.End > addr })
-	if i < len(m.sorted) && m.sorted[i].r.Contains(addr) {
+	if i := m.lookup(addr); i >= 0 {
 		return m.sorted[i].reg, int64(addr) - int64(m.sorted[i].r.Start)
 	}
 	return m.other, -1

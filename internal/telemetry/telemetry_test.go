@@ -164,6 +164,55 @@ func TestRegionMultiRange(t *testing.T) {
 	}
 }
 
+// TestRegionLookupMemo alternates lookups between ranges and
+// unregistered addresses, so the last-hit memo is hit, missed and
+// bypassed in turn, and registers a range late, which shifts the index
+// the memo holds. Each step checks find and Resolve against the
+// expected region and offset, and the memoized lookup allocates
+// nothing.
+func TestRegionLookupMemo(t *testing.T) {
+	m := NewRegionMap(1)
+	m.Register("a", 0x1000, 0x100)
+	m.Register("c", 0x3000, 0x100)
+	type step struct {
+		addr  memsys.Addr
+		label string
+		off   int64
+	}
+	check := func(phase string, steps []step) {
+		t.Helper()
+		for i, s := range steps {
+			if got := m.find(s.addr).Label(); got != s.label {
+				t.Fatalf("%s step %d: find(%v) = %q, want %q", phase, i, s.addr, got, s.label)
+			}
+			if r, off := m.Resolve(s.addr); r.Label() != s.label || off != s.off {
+				t.Fatalf("%s step %d: Resolve(%v) = (%q, %d), want (%q, %d)",
+					phase, i, s.addr, r.Label(), off, s.label, s.off)
+			}
+		}
+	}
+	check("before", []step{
+		{0x1010, "a", 0x10}, {0x1020, "a", 0x20}, // memo hit
+		{0x2000, OtherLabel, -1}, {0x10ff, "a", 0xff}, // gap, then back
+		{0x3000, "c", 0}, {0x1100, OtherLabel, -1}, // range end is exclusive
+		{0x30ff, "c", 0xff}, {0x0fff, OtherLabel, -1}, {0x3050, "c", 0x50},
+	})
+	// The memo now holds c at index 1; inserting b before it moves c
+	// to index 2 and puts b at index 1.
+	m.Register("b", 0x2000, 0x100)
+	check("after late register", []step{
+		{0x2010, "b", 0x10}, {0x3010, "c", 0x10}, {0x2000, "b", 0},
+		{0x2100, OtherLabel, -1}, {0x1000, "a", 0}, {0x20ff, "b", 0xff},
+	})
+	if n := testing.AllocsPerRun(100, func() {
+		m.find(0x2010)
+		m.Resolve(0x2020)
+		m.find(0x9000)
+	}); n != 0 {
+		t.Fatalf("memoized lookup allocated %.0f times per run", n)
+	}
+}
+
 // RegisterElems sorts the caller's addresses in place and registers
 // one element range per address; EachFieldMap yields exactly the
 // regions given a field map, in registration order.
@@ -286,33 +335,6 @@ func TestPrefetchFillsExcludedFrom3C(t *testing.T) {
 	comp, cap, conf, _ := col.Misses(0)
 	if comp+cap+conf != 0 {
 		t.Errorf("prefetch classified as a demand miss: %d/%d/%d", comp, cap, conf)
-	}
-}
-
-func TestLRUSet(t *testing.T) {
-	s := newLRUSet(2)
-	s.touch(1)
-	s.touch(2)
-	if !s.contains(1) || !s.contains(2) {
-		t.Fatal("lruSet dropped a resident block")
-	}
-	s.touch(1) // 2 becomes LRU
-	s.touch(3) // evicts 2
-	if s.contains(2) {
-		t.Fatal("MRU-ordering broken: 2 should have been evicted")
-	}
-	if !s.contains(1) || !s.contains(3) {
-		t.Fatal("lruSet lost a live block")
-	}
-	// Degenerate capacity floors at one block.
-	one := newLRUSet(0)
-	one.touch(7)
-	if !one.contains(7) {
-		t.Fatal("capacity floor broken")
-	}
-	one.touch(8)
-	if one.contains(7) {
-		t.Fatal("single-entry lruSet held two blocks")
 	}
 }
 
